@@ -87,22 +87,32 @@ def classify_maximal(poset):
     return out
 
 
-def bijection_criterion(poset):
-    """Int_C over all nonempty antichains; the bijection holds iff none fails."""
+def bijection_criterion(poset, maximal_verdicts):
+    """Int_C over all nonempty antichains; the bijection holds iff none fails.
+
+    Verdicts of the maximal pass are reused: if A lies under a good maximal
+    antichain M, then Int_C(M) is inside Int_C(A), so only antichains under
+    no good maximal antichain, and not maximal themselves, need an LP.
+    """
+    held = {v.antichain: v for v in maximal_verdicts}
+    good = [set(v.antichain) for v in maximal_verdicts if v.good]
     bad = []
     degenerate = []
     for a in poset.antichains():
-        if not a:
+        if not a or any(g.issuperset(a) for g in good):
             continue
-        res = int_c(poset, a)
-        if res.status == "Infeasible":
+        if a in held:
+            status = "Degenerate" if held[a].degenerate else "Infeasible"
+        else:
+            status = int_c(poset, a).status
+        if status == "Infeasible":
             bad.append(a)
-        elif res.status == "Degenerate":
+        elif status == "Degenerate":
             degenerate.append(a)
     return {"holds": not bad, "bad_witnesses": bad, "degenerate": degenerate}
 
 
-def classify_all(poset, threads=1):
+def classify_all(poset):
     """Run the whole census for one root poset."""
     rs = poset.system
     antichains = poset.antichains()
@@ -127,16 +137,10 @@ def classify_all(poset, threads=1):
         {"antichain": list(v.antichain), "where": "int_c"}
         for v in maximal_verdicts if v.degenerate]
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(lambda a: region_status(poset, a), antichains))
-    else:
-        raw = [region_status(poset, a) for a in antichains]
-
     verdicts = []
     empty_list = []
-    for a, verdict in zip(antichains, raw):
+    for a in antichains:
+        verdict = region_status(poset, a)
         verdict.method = "Propagated" if a in propagated else "LP"
         if verdict.status == "NonEmpty":
             if a in propagated and verdict.witness is None:
@@ -158,7 +162,7 @@ def classify_all(poset, threads=1):
     region_count = sum(1 for v in verdicts if v.status == "NonEmpty")
     bounded_count = sum(1 for v in verdicts if v.status == "NonEmpty" and v.bounded)
 
-    crit = bijection_criterion(poset)
+    crit = bijection_criterion(poset, maximal_verdicts)
     if crit["holds"] != (not empty_list):
         raise AssertionError(
             "bijection criterion disagrees with the region census")
@@ -187,8 +191,8 @@ def classify_all(poset, threads=1):
     )
 
 
-def classify_system(spec, threads=1):
-    return classify_all(RootPoset(build(spec)), threads=threads)
+def classify_system(spec):
+    return classify_all(RootPoset(build(spec)))
 
 
 def sweep_ratio(m, ratios=None):
@@ -197,8 +201,10 @@ def sweep_ratio(m, ratios=None):
     Returns one row per ratio with counts and a degeneracy marker; rows where
     the region count changes against the previous ratio are flagged.
     """
-    from .rootsystem import OddRatioNotOne, SystemSpec
+    from .rootsystem import MAX_DIHEDRAL_M, OddRatioNotOne, SystemSpec
 
+    if not 2 <= m <= MAX_DIHEDRAL_M:
+        raise ValueError(f"ratio sweeps need 2 <= m <= {MAX_DIHEDRAL_M}")
     if m % 2:
         raise OddRatioNotOne("ratio sweeps need even m")
     if ratios is None:

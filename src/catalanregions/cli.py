@@ -255,14 +255,10 @@ def verify_report(report, expect):
 # ---------------------------------------------------------------------------
 
 def _parse_spec_arg(args):
-    force = args.field == "approx"
-    spec = parse_spec(args.spec, force_approx=force)
-    if args.field == "exact":
-        rs = build(spec)
-        if rs.field == "approx":
-            raise ValueError(
-                f"{args.spec} has no exact backend; use --field auto or approx")
-        return spec
+    spec = parse_spec(args.spec, force_approx=args.field == "approx")
+    if args.field == "exact" and build(spec).field == "approx":
+        raise ValueError(
+            f"{args.spec} has no exact backend; use --field auto or approx")
     return spec
 
 
@@ -336,7 +332,7 @@ def _summary_lines(report):
 
 def _cmd_classify(args):
     spec = _parse_spec_arg(args)
-    report = classify_system(spec, threads=args.threads)
+    report = classify_system(spec)
     if args.format == "text":
         lines = _summary_lines(report)
         if args.show_empty:
@@ -354,7 +350,7 @@ def _cmd_verify(args):
     if expect is None:
         print(f"no catalog entry for {spec.label()}", file=sys.stderr)
         return 2
-    report = classify_system(spec, threads=args.threads)
+    report = classify_system(spec)
     diffs = verify_report(report, expect)
     if diffs:
         print(f"{spec.label()}: MISMATCH")
@@ -384,7 +380,7 @@ def _cmd_sweep(args):
 def _cmd_figure(args):
     spec = _parse_spec_arg(args)
     poset = RootPoset(build(spec))
-    report = classify_all(poset, threads=args.threads)
+    report = classify_all(poset)
     svg = figure_svg(poset, report.verdicts)
     _emit(svg + "\n", args.out)
     if args.out and args.out.endswith(".svg"):
@@ -419,34 +415,34 @@ def build_parser():
                     "for the noncrystallographic root systems H3, H4, I2(m).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_format, spec=True):
-        if spec:
-            p.add_argument("spec", help="H3 | H4 | I2:<m>[:r=<ratio>]")
-        p.add_argument("--field", choices=["auto", "exact", "approx"],
-                       default="auto")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["json", "text", "dot", "svg"],
-                       default=default_format)
-        p.add_argument("--epsilon", default=None,
-                       help="comparison tolerance for the approx backend")
+    def command(name, help, formats=None, field_flags=True):
+        """A spec subcommand; formats[0] is the default --format."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("spec", help="H3 | H4 | I2:<m>[:r=<ratio>]")
+        if field_flags:
+            p.add_argument("--field", choices=["auto", "exact", "approx"],
+                           default="auto")
+            p.add_argument("--epsilon", default=None,
+                           help="comparison tolerance for the approx backend")
+        if formats:
+            p.add_argument("--out", default=None)
+            p.add_argument("--format", choices=formats, default=formats[0])
+        return p
 
-    common(sub.add_parser("roots", help="list positive roots"), "text")
-    common(sub.add_parser("poset", help="emit the root poset"), "dot")
-    common(sub.add_parser("antichains", help="enumerate antichains"), "text")
-    p = sub.add_parser("classify", help="full region census")
-    common(p, "json")
+    command("roots", "list positive roots", ["text", "json"])
+    command("poset", "emit the root poset", ["dot", "json", "text"])
+    command("antichains", "enumerate antichains", ["text", "json"])
+    p = command("classify", "full region census", ["json", "text"])
     p.add_argument("--show-empty", action="store_true",
                    help="print the antichains of the empty regions")
-    common(sub.add_parser("verify", help="compare census to known counts"),
-           "text")
+    command("verify", "compare census to known counts")
     p = sub.add_parser("sweep", help="ratio sweep for even I2(m)")
     p.add_argument("m", type=int)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "text"], default="text")
-    common(sub.add_parser("figure", help="SVG of a rank-2 arrangement"), "svg")
-    common(sub.add_parser("catalan", help="generalized Catalan numbers"),
-           "text")
+    command("figure", "SVG of a rank-2 arrangement", ["svg"])
+    command("catalan", "generalized Catalan numbers", ["text", "json"],
+            field_flags=False)
     return parser
 
 

@@ -28,7 +28,7 @@ try:
         return _mpq(a, b)
 
     _RATIONAL_TYPES = (int, Fraction, type(_mpq()))
-except ImportError:  # pragma: no cover - gmpy2 is normally present
+except ImportError:  # gmpy2 is the optional `speed` extra
     def Q(a=0, b=1):
         return Fraction(a, b) if b != 1 else Fraction(a)
 
@@ -166,6 +166,9 @@ class QuadExt:
         return self.a == o.a and self.b == o.b
 
     def __hash__(self):
+        # equal to a rational when b == 0, so hash like that rational
+        if self.b == 0:
+            return hash(self.a)
         return hash((self.a, self.b, self.rel[2]))
 
     def __lt__(self, other):

@@ -273,14 +273,6 @@ class OrderCertificate:
     lower: list      # (root index, convex weight) over I_min
     upper: list      # (root index, convex weight) over I^c_max
 
-    def to_json(self):
-        from .exactfield import scalar_to_json
-        return {
-            "kind": "order",
-            "lower": [[i, scalar_to_json(w)] for i, w in self.lower],
-            "upper": [[i, scalar_to_json(w)] for i, w in self.upper],
-        }
-
 
 @dataclass
 class RegionVerdict:
@@ -404,20 +396,17 @@ def check_order_certificate(poset, cert):
 
 
 def bounded(poset, antichain):
-    """True iff the region's recession cone inside the chamber is trivial."""
+    """True iff the supports of the I^c_max roots cover every simple index.
+
+    Inside the chamber a recession direction d >= 0 has (d|gamma) <= 0 for
+    each gamma in I^c_max, so d vanishes on supp(gamma); the region is
+    bounded exactly when that forces d = 0.
+    """
     rs = poset.system
-    zero, one = rs.zero, rs.one
-    n = rs.rank
     icmax = poset.complement_maximals(poset.ideal(antichain))
-    rows = []
-    for i in icmax:
-        rows.append((rs.positives[i].coeffs, zero))
-    rows.append(([one] * n, one))
-    objective = [one] * n
-    status, _, _, opt = lp_max(n, objective, rows, zero, one)
-    if status == "unbounded":
-        return False
-    return sgn(opt) == 0
+    covered = {s for i in icmax
+               for s, c in enumerate(rs.positives[i].coeffs) if sgn(c) > 0}
+    return len(covered) == rs.rank
 
 
 def witness_sign_type(poset, witness):

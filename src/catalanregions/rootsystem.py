@@ -29,6 +29,9 @@ from .exactfield import (
 )
 
 CLOSURE_CAP = 10_000
+# largest dihedral m accepted: building I2(m) off the exact fields is
+# quadratic in m, and the closure cap is reached near m = 5000
+MAX_DIHEDRAL_M = 400
 
 
 class OddRatioNotOne(ValueError):
@@ -72,8 +75,8 @@ def parse_spec(text, force_approx=False):
     if parts[0] != "I2" or len(parts) not in (2, 3):
         raise ValueError(f"bad system spec {text!r}")
     m = int(parts[1])
-    if m < 2:
-        raise ValueError("I2(m) requires m >= 2")
+    if not 2 <= m <= MAX_DIHEDRAL_M:
+        raise ValueError(f"I2(m) requires 2 <= m <= {MAX_DIHEDRAL_M}")
     ratio = 1
     if len(parts) == 3:
         if not parts[2].startswith("r="):

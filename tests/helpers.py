@@ -1,6 +1,7 @@
 """Shared oracles and generators used by several test modules."""
 
-from catalanregions.exactfield import Q, is_zero, tau
+from catalanregions.exactfield import Q, is_zero, sgn, tau
+from catalanregions.feasibility import int_c, lp_max
 
 
 def random_rational(rng, span=20):
@@ -58,3 +59,35 @@ def random_chamber_point(rng, rank, one):
     """Strictly positive weight coordinates with random rational entries."""
     return tuple(one * Q(rng.randint(1, 50), rng.randint(1, 10))
                  for _ in range(rank))
+
+
+def bounded_lp(poset, antichain):
+    """Boundedness by LP: is the region's recession cone in the chamber {0}?
+
+    Maximises sum(d) over d >= 0 with (d|gamma) <= 0 for gamma in I^c_max
+    and sum(d) <= 1; the cone is trivial iff the optimum is zero.
+    """
+    rs = poset.system
+    zero, one = rs.zero, rs.one
+    n = rs.rank
+    icmax = poset.complement_maximals(poset.ideal(antichain))
+    rows = [(rs.positives[i].coeffs, zero) for i in icmax]
+    rows.append(([one] * n, one))
+    status, _, _, opt = lp_max(n, [one] * n, rows, zero, one)
+    if status == "unbounded":
+        return False
+    return sgn(opt) == 0
+
+
+def bijection_lp(poset):
+    """Int_C by LP on every nonempty antichain: (bad, degenerate) lists."""
+    bad, degenerate = [], []
+    for a in poset.antichains():
+        if not a:
+            continue
+        status = int_c(poset, a).status
+        if status == "Infeasible":
+            bad.append(a)
+        elif status == "Degenerate":
+            degenerate.append(a)
+    return bad, degenerate

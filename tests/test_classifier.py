@@ -7,15 +7,23 @@ from catalanregions.classifier import (
     bijection_criterion,
     catalan_numbers,
     classify_all,
+    classify_maximal,
     classify_system,
     default_ratio_grid,
     sign_type_consistency,
     sweep_ratio,
 )
+from catalanregions.exactfield import is_zero, sgn
 from catalanregions.feasibility import region_status
 from catalanregions.rootposet import RootPoset
-from catalanregions.rootsystem import OddRatioNotOne, build, parse_spec
-from helpers import exact_rank
+from catalanregions.rootsystem import (
+    MAX_DIHEDRAL_M,
+    OddRatioNotOne,
+    build,
+    evaluate,
+    parse_spec,
+)
+from helpers import bijection_lp, exact_rank
 
 
 def test_catalan_numbers():
@@ -104,12 +112,42 @@ def test_antichain_size_and_independence(h4_poset):
 
 
 def test_bijection_criterion(h3_poset, h4_poset):
-    assert bijection_criterion(h3_poset)["holds"]
-    crit = bijection_criterion(h4_poset)
+    assert bijection_criterion(h3_poset, classify_maximal(h3_poset))["holds"]
+    crit = bijection_criterion(h4_poset, classify_maximal(h4_poset))
     assert not crit["holds"]
     assert len(crit["bad_witnesses"]) >= 13
     sizes = Counter(len(a) for a in crit["bad_witnesses"])
     assert dict(sizes) == {3: 8, 4: 8}
+
+
+@pytest.mark.parametrize("label", ["H3", "I2:5", "I2:6", "I2:7", "I2:8",
+                                   "I2:6:r=sin(2)/sin(1)"])
+def test_bijection_criterion_matches_full_lp_pass(label):
+    p = RootPoset(build(parse_spec(label)))
+    crit = bijection_criterion(p, classify_maximal(p))
+    bad, degenerate = bijection_lp(p)
+    assert crit["bad_witnesses"] == bad
+    assert crit["degenerate"] == degenerate
+    assert crit["holds"] == (not bad)
+
+
+def test_bijection_skips_are_witnessed_h4(h4_report, h4_poset):
+    # every antichain the criterion skips lies under a good maximal
+    # antichain whose Int_C witness also satisfies the skipped equalities
+    rs = h4_poset.system
+    good = [v for v in h4_report.maximal_verdicts if v.good]
+    skipped = 0
+    for a in h4_poset.antichains():
+        cover = next((v for v in good if set(a) <= set(v.antichain)), None)
+        if not a or cover is None:
+            continue
+        skipped += 1
+        w = cover.int_c_witness
+        assert all(sgn(x) > 0 for x in w)
+        for i in a:
+            assert is_zero(evaluate(w, rs.positives[i]) - rs.one)
+    # 42 of the 428 nonempty antichains lie under no good maximal antichain
+    assert skipped == 428 - 42
 
 
 def test_bijection_witnesses_cover_bad_maximal(h4_report):
@@ -179,6 +217,9 @@ def test_sweep_grid_and_duality():
     assert any(r["count_change"] for r in rows)
     with pytest.raises(OddRatioNotOne):
         sweep_ratio(5)
+    for m in (0, -4, 1, MAX_DIHEDRAL_M + 2):
+        with pytest.raises(ValueError, match="2 <= m"):
+            sweep_ratio(m)
 
 
 def test_default_grid_sorted():
@@ -187,13 +228,6 @@ def test_default_grid_sorted():
     values = [float(as_mpf(r)) for _, r in grid]
     assert values == sorted(values)
     assert values[0] > 0
-
-
-def test_threads_agree():
-    a = classify_system(parse_spec("I2:5"), threads=1)
-    b = classify_system(parse_spec("I2:5"), threads=4)
-    assert [(v.antichain, v.status, v.method) for v in a.verdicts] == \
-        [(v.antichain, v.status, v.method) for v in b.verdicts]
 
 
 def test_classify_all_approx_backend_matches_exact():

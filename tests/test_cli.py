@@ -167,3 +167,39 @@ def test_out_file(capsys, tmp_path):
     assert code == 0 and out == ""
     doc = json.loads(path.read_text())
     assert doc["counts"]["regions"] == 5
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "H3", "--format", "dot"],
+    ["classify", "H3", "--format", "svg"],
+    ["roots", "H3", "--format", "dot"],
+    ["antichains", "H3", "--format", "svg"],
+    ["poset", "H3", "--format", "svg"],
+    ["figure", "I2:4", "--format", "json"],
+    ["verify", "H3", "--format", "json"],
+    ["verify", "H3", "--out", "report.json"],
+    ["catalan", "H4", "--field", "exact"],
+    ["catalan", "H4", "--epsilon", "1e-20"],
+    ["sweep", "6", "--field", "exact"],
+    ["classify", "I2:5", "--threads", "2"],
+])
+def test_unused_flags_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_format_choices_per_subcommand(capsys):
+    code, out, _ = run(capsys, "poset", "I2:3", "--format", "text")
+    assert code == 0 and "<" in out
+    code, out, _ = run(capsys, "figure", "I2:3", "--format", "svg")
+    assert code == 0 and out.startswith("<svg")
+    code, out, _ = run(capsys, "catalan", "I2:5")
+    assert code == 0 and "cat = 7" in out
+
+
+@pytest.mark.parametrize("m", ["0", "-4", "7", "100000"])
+def test_sweep_bad_m(capsys, m):
+    code, out, err = run(capsys, "sweep", m)
+    assert code == 2 and out == "" and err.startswith("error:")

@@ -163,6 +163,14 @@ def test_json_round_trip():
 def test_hash_consistency():
     assert hash(tau(1, 2)) == hash(tau(Q(2, 2), Q(4, 2)))
     assert len({tau(1, 2), tau(1, 2), tau(2, 1)}) == 2
+    # an element with b == 0 equals a rational and must hash like it
+    for make in (tau, sqrt2, sqrt3):
+        for r in (Q(1), Q(0), Q(-3, 4)):
+            x = make(r, 0)
+            assert x == r and hash(x) == hash(r)
+            assert len({x, r}) == 1
+            assert r in {x} and x in {r}
+        assert len({make(1, 1), Q(1)}) == 2
 
 
 def test_quadext_canonical_idempotence():

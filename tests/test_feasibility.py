@@ -17,7 +17,9 @@ from catalanregions.feasibility import (
     solve,
     witness_sign_type,
 )
-from catalanregions.rootsystem import evaluate
+from catalanregions.rootposet import RootPoset
+from catalanregions.rootsystem import build, evaluate, parse_spec
+from helpers import bounded_lp
 
 ZERO, ONE = Q(0), Q(1)
 
@@ -143,6 +145,16 @@ def test_bounded_h3(h3_poset):
     for a in p.antichains():
         # bounded exactly when the antichain avoids the minimal (simple) roots
         assert bounded(p, a) == (not set(a) & simples)
+
+
+@pytest.mark.parametrize("label,force_approx", [
+    ("H3", False), ("H4", False), ("I2:6", False), ("I2:7", False),
+    ("I2:8", False), ("H3", True)])
+def test_bounded_matches_recession_lp(label, force_approx):
+    # I2(7), I2(8) and the forced H3 run on the Approx backend
+    p = RootPoset(build(parse_spec(label, force_approx=force_approx)))
+    for a in p.antichains():
+        assert bounded(p, a) == bounded_lp(p, a), a
 
 
 def test_order_certificates_on_h4_empties(h4_report, h4_poset):

@@ -2,6 +2,7 @@ import pytest
 
 from catalanregions.exactfield import Q, is_zero, sgn, sqrt2, sqrt3, tau
 from catalanregions.rootsystem import (
+    MAX_DIHEDRAL_M,
     NonPositiveRatio,
     OddRatioNotOne,
     SystemSpec,
@@ -33,7 +34,9 @@ def test_parse_spec_grammar():
     assert parse_spec("I2:6").ratio == 1
     assert parse_spec("I2:6:r=0.5").ratio == Q(1, 2)
     assert parse_spec("I2:8:r=sin(1)/sin(3)").ratio == ("sin", 1, 3)
-    for bad in ("X5", "I2", "I2:1", "I2:6:0.5", "I2:6:r=sin(1)", "H5"):
+    assert parse_spec(f"I2:{MAX_DIHEDRAL_M}").m == MAX_DIHEDRAL_M
+    for bad in ("X5", "I2", "I2:1", "I2:6:0.5", "I2:6:r=sin(1)", "H5",
+                "I2:0", "I2:-4", f"I2:{MAX_DIHEDRAL_M + 1}", "I2:6000"):
         with pytest.raises(ValueError):
             parse_spec(bad)
 

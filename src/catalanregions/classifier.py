@@ -116,7 +116,6 @@ def classify_all(poset):
     """Run the whole census for one root poset."""
     rs = poset.system
     antichains = poset.antichains()
-    ideals = {a: poset.ideal(a) for a in antichains}
 
     maximal_verdicts = classify_maximal(poset)
     good_count = sum(1 for v in maximal_verdicts if v.good)
@@ -127,7 +126,7 @@ def classify_all(poset):
     for v in maximal_verdicts:
         if not v.good:
             continue
-        full = ideals[v.antichain]
+        full = poset.ideal(v.antichain)
         members = list(v.antichain)
         for k in range(len(members) + 1):
             for drop in combinations(members, k):

@@ -29,100 +29,85 @@ class EmptyAntichain(ValueError):
 # ---------------------------------------------------------------------------
 
 def lp_max(n, objective, rows, zero, one):
-    """Dense exact simplex with Bland's anti-cycling rule.
+    """Two-phase tableau simplex with Bland's anti-cycling rule.
 
     rows: list of (coeffs, rhs) meaning coeffs . x <= rhs.
-    Returns (status, x, duals, optimum); status is "optimal" or "unbounded".
-    Duals are for the rows as given (nonnegative at optimality).
+    Returns (status, x, duals, optimum); status is "optimal", "unbounded" or
+    "infeasible".  At an optimum the duals are for the rows as given and
+    nonnegative.  "infeasible" means the rows admit no x >= 0 at all; its
+    duals are the phase-1 duals, a Farkas combination (lambda >= 0,
+    lambda^T A >= 0, lambda^T b < 0), and x and optimum are None.  All three
+    are None when the LP is unbounded.
     """
     m = len(rows)
     for coeffs, _ in rows:
         if len(coeffs) != n:
             raise DimensionMismatch("row length != n")
 
-    nslack = m
-    art_of_row = {}
-    ncols = n + nslack  # artificials appended below
-    tab = []
-    flipped = []
-    for i, (coeffs, rhs) in enumerate(rows):
-        neg = sgn(rhs) < 0
-        flipped.append(neg)
-        row = [(-c if neg else c) for c in coeffs]
-        row += [(-one if neg else one) if j == i else zero for j in range(nslack)]
-        row.append(-rhs if neg else rhs)
-        tab.append(row)
-    basis = []
-    for i in range(m):
-        if flipped[i]:
-            art_of_row[i] = ncols
-            for r in range(m):
-                tab[r].insert(len(tab[r]) - 1, one if r == i else zero)
-            basis.append(ncols)
-            ncols += 1
+    # columns: n structural, m slacks, one artificial per row with a
+    # negative rhs (that row is negated), then the rhs
+    flipped = [sgn(rhs) < 0 for _, rhs in rows]
+    arts = set(range(n + m, n + m + sum(flipped)))
+    total = n + m + len(arts)
+    tab, basis = [], []
+    art = n + m
+    for i, ((coeffs, rhs), neg) in enumerate(zip(rows, flipped)):
+        row = [zero] * (total + 1)
+        if neg:
+            row[:n] = [-c for c in coeffs]
+            row[n + i], row[art], row[total] = -one, one, -rhs
+            basis.append(art)
+            art += 1
         else:
+            row[:n] = coeffs
+            row[n + i], row[total] = one, rhs
             basis.append(n + i)
-
-    total = ncols
+        tab.append(row)
+    # objective rows hold the reduced costs of the current basis.  No
+    # starting basic column has a phase-2 cost; phase 1 maximises
+    # -sum(artificials), which prices out as the sum of the flipped rows.
+    tab.append(list(objective) + [zero] * (total + 1 - n))
+    if arts:
+        flips = [row for row, neg in zip(tab, flipped) if neg]
+        phase1 = [sum((row[j] for row in flips), zero) for j in range(total + 1)]
+        for a in arts:
+            phase1[a] = zero
+        tab.append(phase1)
 
     def pivot(r, c):
-        prow = tab[r]
-        inv = one / prow[c]
-        tab[r] = prow = [v * inv for v in prow]
-        for k in range(m):
-            if k == r:
+        inv = one / tab[r][c]
+        tab[r] = prow = [v * inv for v in tab[r]]
+        nonzero = [j for j, v in enumerate(prow) if not is_zero(v)]
+        for k, row in enumerate(tab):
+            f = row[c]
+            if k == r or is_zero(f):
                 continue
-            f = tab[k][c]
-            if is_zero(f):
-                continue
-            tab[k] = [a - f * b for a, b in zip(tab[k], prow)]
+            for j in nonzero:
+                row[j] -= f * prow[j]
         basis[r] = c
 
-    def run_phase(cost, banned):
-        # cost: full-length objective vector (maximisation)
+    def run_phase(banned):
+        # maximise the objective in the last row; False when unbounded
+        red = tab[-1]
         while True:
-            # reduced costs r_j = cost_j - y . A_j with y = cost_basis . B^-1
-            red = list(cost)
-            for i, bi in enumerate(basis):
-                cb = cost[bi]
-                if is_zero(cb):
-                    continue
-                row = tab[i]
-                red = [rj - cb * row[j] for j, rj in enumerate(red)]
-            enter = -1
-            for j in range(total):
-                if j in banned or j in basis:
-                    continue
-                if sgn(red[j]) > 0:
-                    enter = j
-                    break
+            enter = next((j for j in range(total) if j not in banned
+                          and j not in basis and sgn(red[j]) > 0), -1)
             if enter < 0:
-                return "optimal", red
-            leave = -1
-            best = None
-            for i in range(m):
-                a = tab[i][enter]
-                if sgn(a) > 0:
-                    ratio = tab[i][-1] / a
-                    if best is None or sgn(ratio - best) < 0 or (
-                            is_zero(ratio - best) and basis[i] < basis[leave]):
-                        best = ratio
-                        leave = i
-            if leave < 0:
-                return "unbounded", red
-            pivot(leave, enter)
+                return True
+            # smallest ratio; a tie leaves on the smallest basic column
+            ratios = [(tab[i][total] / tab[i][enter], basis[i], i)
+                      for i in range(m) if sgn(tab[i][enter]) > 0]
+            if not ratios:
+                return False
+            pivot(min(ratios)[2], enter)
 
-    arts = set(art_of_row.values())
     if arts:
-        cost1 = [zero] * total
-        for a in arts:
-            cost1[a] = -one
-        status, red = run_phase(cost1, banned=set())
-        infeas = sum((tab[i][-1] for i in range(m) if basis[i] in arts), zero)
-        if not is_zero(infeas):
-            # even the weak system is empty; the phase-1 duals certify it
-            # (lambda >= 0, lambda^T A >= 0, lambda^T b = -infeas < 0)
-            duals = [zero - red[n + i] for i in range(m)]
+        run_phase(banned=())
+        phase1 = tab.pop()
+        if not is_zero(phase1[total]):
+            # the phase-1 optimum leaves sum(artificials) > 0: even the weak
+            # system is empty, and the phase-1 duals certify it
+            duals = [zero - phase1[n + i] for i in range(m)]
             return "infeasible", None, duals, None
         # drive remaining zero-valued artificials out of the basis
         for i in range(m):
@@ -132,17 +117,13 @@ def lp_max(n, objective, rows, zero, one):
                         pivot(i, j)
                         break
 
-    cost2 = [zero] * total
-    for j, cj in enumerate(objective):
-        cost2[j] = cj
-    status, red = run_phase(cost2, banned=arts)
-    if status == "unbounded":
+    if not run_phase(banned=arts):
         return "unbounded", None, None, None
-
+    red = tab[-1]
     x = [zero] * n
     for i, bi in enumerate(basis):
         if bi < n:
-            x[bi] = tab[i][-1]
+            x[bi] = tab[i][total]
     # multiplier on row i (as given) is -reduced_cost(slack_i), for flipped
     # rows included: the slack column carries the flip sign already
     duals = [zero - red[n + i] for i in range(m)]

@@ -84,9 +84,16 @@ def parse_spec(text, force_approx=False):
         body = parts[2][2:]
         sin_match = _SIN_RE.match(body)
         if sin_match:
-            ratio = ("sin", int(sin_match.group(1)), int(sin_match.group(2)))
+            k, l = int(sin_match.group(1)), int(sin_match.group(2))
+            # sin(k pi/m) > 0 needs 0 < k < m; at k = m it is only 0 in floats
+            if not (1 <= k < m and 1 <= l < m):
+                raise ValueError(f"sin(k)/sin(l) needs 1 <= k, l <= {m - 1}")
+            ratio = ("sin", k, l)
         else:
-            ratio = Q(body)
+            try:
+                ratio = Q(body)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in ratio {body!r}") from None
     return SystemSpec("I2", m, ratio, force_approx)
 
 

@@ -1,7 +1,21 @@
 """Shared oracles and generators used by several test modules."""
 
+import hashlib
+import json
+from pathlib import Path
+
 from catalanregions.exactfield import Q, is_zero, sgn, tau
-from catalanregions.feasibility import int_c, lp_max
+from catalanregions.feasibility import DimensionMismatch, int_c, lp_max
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" \
+    / "reference.json"
+
+
+def matches_reference_report(label, data):
+    """True iff report bytes hash to the stored reference for `label`."""
+    want = json.loads(REFERENCE.read_text())["reports"][label]["sha256"]
+    return hashlib.sha256(data).hexdigest() == want
 
 
 def random_rational(rng, span=20):
@@ -91,3 +105,126 @@ def bijection_lp(poset):
         elif status == "Degenerate":
             degenerate.append(a)
     return bad, degenerate
+
+
+def lp_max_reference(n, objective, rows, zero, one):
+    """Oracle for feasibility.lp_max: the earlier dense Bland simplex.
+
+    It keeps no objective row and recomputes every reduced cost from the
+    basis on each iteration, and it updates every column on each pivot.
+    rows: list of (coeffs, rhs) meaning coeffs . x <= rhs.
+    Returns (status, x, duals, optimum) like feasibility.lp_max.
+    """
+    m = len(rows)
+    for coeffs, _ in rows:
+        if len(coeffs) != n:
+            raise DimensionMismatch("row length != n")
+
+    nslack = m
+    art_of_row = {}
+    ncols = n + nslack  # artificials appended below
+    tab = []
+    flipped = []
+    for i, (coeffs, rhs) in enumerate(rows):
+        neg = sgn(rhs) < 0
+        flipped.append(neg)
+        row = [(-c if neg else c) for c in coeffs]
+        row += [(-one if neg else one) if j == i else zero for j in range(nslack)]
+        row.append(-rhs if neg else rhs)
+        tab.append(row)
+    basis = []
+    for i in range(m):
+        if flipped[i]:
+            art_of_row[i] = ncols
+            for r in range(m):
+                tab[r].insert(len(tab[r]) - 1, one if r == i else zero)
+            basis.append(ncols)
+            ncols += 1
+        else:
+            basis.append(n + i)
+
+    total = ncols
+
+    def pivot(r, c):
+        prow = tab[r]
+        inv = one / prow[c]
+        tab[r] = prow = [v * inv for v in prow]
+        for k in range(m):
+            if k == r:
+                continue
+            f = tab[k][c]
+            if is_zero(f):
+                continue
+            tab[k] = [a - f * b for a, b in zip(tab[k], prow)]
+        basis[r] = c
+
+    def run_phase(cost, banned):
+        # cost: full-length objective vector (maximisation)
+        while True:
+            # reduced costs r_j = cost_j - y . A_j with y = cost_basis . B^-1
+            red = list(cost)
+            for i, bi in enumerate(basis):
+                cb = cost[bi]
+                if is_zero(cb):
+                    continue
+                row = tab[i]
+                red = [rj - cb * row[j] for j, rj in enumerate(red)]
+            enter = -1
+            for j in range(total):
+                if j in banned or j in basis:
+                    continue
+                if sgn(red[j]) > 0:
+                    enter = j
+                    break
+            if enter < 0:
+                return "optimal", red
+            leave = -1
+            best = None
+            for i in range(m):
+                a = tab[i][enter]
+                if sgn(a) > 0:
+                    ratio = tab[i][-1] / a
+                    if best is None or sgn(ratio - best) < 0 or (
+                            is_zero(ratio - best) and basis[i] < basis[leave]):
+                        best = ratio
+                        leave = i
+            if leave < 0:
+                return "unbounded", red
+            pivot(leave, enter)
+
+    arts = set(art_of_row.values())
+    if arts:
+        cost1 = [zero] * total
+        for a in arts:
+            cost1[a] = -one
+        status, red = run_phase(cost1, banned=set())
+        infeas = sum((tab[i][-1] for i in range(m) if basis[i] in arts), zero)
+        if not is_zero(infeas):
+            # even the weak system is empty; the phase-1 duals certify it
+            # (lambda >= 0, lambda^T A >= 0, lambda^T b = -infeas < 0)
+            duals = [zero - red[n + i] for i in range(m)]
+            return "infeasible", None, duals, None
+        # drive remaining zero-valued artificials out of the basis
+        for i in range(m):
+            if basis[i] in arts:
+                for j in range(total):
+                    if j not in arts and not is_zero(tab[i][j]):
+                        pivot(i, j)
+                        break
+
+    cost2 = [zero] * total
+    for j, cj in enumerate(objective):
+        cost2[j] = cj
+    status, red = run_phase(cost2, banned=arts)
+    if status == "unbounded":
+        return "unbounded", None, None, None
+
+    x = [zero] * n
+    for i, bi in enumerate(basis):
+        if bi < n:
+            x[bi] = tab[i][-1]
+    # multiplier on row i (as given) is -reduced_cost(slack_i), for flipped
+    # rows included: the slack column carries the flip sign already
+    duals = [zero - red[n + i] for i in range(m)]
+    opt = sum((cj * x[j] for j, cj in enumerate(objective)), zero)
+    return "optimal", x, duals, opt

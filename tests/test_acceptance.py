@@ -22,6 +22,7 @@ from catalanregions.feasibility import (
 from catalanregions.rootsystem import build, evaluate, parse_spec
 from helpers import (
     exact_rank,
+    matches_reference_report,
     random_chamber_point,
     random_tau,
 )
@@ -208,4 +209,5 @@ def test_c13_determinism(tmp_path, capsys, h4_report):
     b1, b2 = p1.read_bytes(), p2.read_bytes()
     assert b1 == b2
     assert json.loads(b1) == report_to_json(h4_report)
+    assert matches_reference_report("H4", b1)
     ok(13, "byte-identical repeated classification")

@@ -13,6 +13,7 @@ from catalanregions.cli import (
 )
 from catalanregions.rootposet import RootPoset
 from catalanregions.rootsystem import build, parse_spec
+from helpers import matches_reference_report
 
 
 def run(capsys, *argv):
@@ -78,6 +79,8 @@ def test_classify_deterministic(capsys):
     _, out1, _ = run(capsys, "classify", "I2:7")
     _, out2, _ = run(capsys, "classify", "I2:7")
     assert out1 == out2
+    code, out, _ = run(capsys, "classify", "H3")
+    assert code == 0 and matches_reference_report("H3", out.encode())
 
 
 def test_verify_ok(capsys):
@@ -101,6 +104,8 @@ def test_verify_unknown_catalog(capsys):
 
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "classify", "NOPE")
+    assert code == 2 and "error" in err
+    code, _, err = run(capsys, "roots", "I2:6:r=sin(1)/sin(6)")
     assert code == 2 and "error" in err
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

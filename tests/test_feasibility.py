@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
-from catalanregions.exactfield import Q, is_zero, sgn
+from catalanregions import feasibility
+from catalanregions.exactfield import Q, is_zero, sgn, tau
 from catalanregions.feasibility import (
     DimensionMismatch,
     EmptyAntichain,
@@ -14,12 +16,13 @@ from catalanregions.feasibility import (
     int_c,
     lp_max,
     region_status,
+    region_system,
     solve,
     witness_sign_type,
 )
 from catalanregions.rootposet import RootPoset
 from catalanregions.rootsystem import build, evaluate, parse_spec
-from helpers import bounded_lp
+from helpers import bounded_lp, lp_max_reference
 
 ZERO, ONE = Q(0), Q(1)
 
@@ -48,6 +51,72 @@ def test_lp_max_negative_rhs():
 def test_lp_max_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         lp_max(2, [ONE, ONE], [((ONE,), ONE)], ZERO, ONE)
+
+
+def random_lp(rng, scalar):
+    """A small LP whose last row is a scaled copy of an earlier one.
+
+    The copy ties with its original in every ratio test that sees both.
+    Entries, right-hand sides included, take either sign.
+    """
+    n, m = rng.randint(1, 4), rng.randint(1, 5)
+    rows = [([scalar() for _ in range(n)], scalar()) for _ in range(m)]
+    coeffs, rhs = rng.choice(rows)
+    k = rng.randint(2, 3)
+    rows.append(([k * c for c in coeffs], k * rhs))
+    return n, [scalar() for _ in range(n)], rows
+
+
+# zero, one and a random small scalar of each field
+FIELDS = {
+    "rational": (Q(0), Q(1), lambda rng: Q(rng.randint(-3, 3))),
+    "tau": (tau(0, 0), tau(1, 0),
+            lambda rng: tau(rng.randint(-2, 2), rng.randint(-2, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_lp_max_matches_reference(name):
+    zero, one, scalar = FIELDS[name]
+    rng = random.Random(7)
+    statuses = Counter()
+    flipped = 0
+    for _ in range(600):
+        n, objective, rows = random_lp(rng, lambda: scalar(rng))
+        got = lp_max(n, objective, rows, zero, one)
+        assert got == lp_max_reference(n, objective, rows, zero, one), rows
+        statuses[got[0]] += 1
+        flipped += any(sgn(rhs) < 0 for _, rhs in rows)
+    # every exit of the simplex, and phase 1, is exercised many times
+    assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) > 50
+    assert flipped > 300
+
+
+def test_lp_max_tied_ratio():
+    # max x s.t. x <= 1 twice and 2x <= 2: all three ratios tie at 1, and
+    # Bland's rule leaves on the row whose basic column is smallest
+    rows = [((ONE,), ONE), ((ONE,), ONE), ((Q(2),), Q(2))]
+    got = lp_max(1, [ONE], rows, ZERO, ONE)
+    assert got == lp_max_reference(1, [ONE], rows, ZERO, ONE)
+    assert got == ("optimal", [ONE], [ONE, ZERO, ZERO], ONE)
+
+
+def test_lp_max_infeasible_duals_certify():
+    # x >= 2 and x <= 1: the phase-1 duals combine the rows into 0 <= -1
+    rows = [((Q(-1),), Q(-2)), ((ONE,), ONE)]
+    status, x, duals, opt = lp_max(1, [ONE], rows, ZERO, ONE)
+    assert (status, x, opt) == ("infeasible", None, None)
+    assert all(sgn(y) >= 0 for y in duals)
+    assert sgn(sum((y * a[0] for y, (a, _) in zip(duals, rows)), ZERO)) >= 0
+    assert sgn(sum((y * b for y, (_, b) in zip(duals, rows)), ZERO)) < 0
+
+
+def test_solve_matches_reference_on_h3_regions(h3_poset, monkeypatch):
+    rs = h3_poset.system
+    systems = [region_system(h3_poset, a)[0] for a in h3_poset.antichains()]
+    got = [solve(sys, rs.zero, rs.one) for sys in systems]
+    monkeypatch.setattr(feasibility, "lp_max", lp_max_reference)
+    assert got == [solve(sys, rs.zero, rs.one) for sys in systems]
 
 
 def test_solve_feasible_interval():

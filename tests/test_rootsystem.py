@@ -36,7 +36,9 @@ def test_parse_spec_grammar():
     assert parse_spec("I2:8:r=sin(1)/sin(3)").ratio == ("sin", 1, 3)
     assert parse_spec(f"I2:{MAX_DIHEDRAL_M}").m == MAX_DIHEDRAL_M
     for bad in ("X5", "I2", "I2:1", "I2:6:0.5", "I2:6:r=sin(1)", "H5",
-                "I2:0", "I2:-4", f"I2:{MAX_DIHEDRAL_M + 1}", "I2:6000"):
+                "I2:0", "I2:-4", f"I2:{MAX_DIHEDRAL_M + 1}", "I2:6000",
+                "I2:6:r=sin(1)/sin(0)", "I2:6:r=sin(1)/sin(6)",
+                "I2:8:r=sin(1)/sin(8)", "I2:6:r=1/0"):
         with pytest.raises(ValueError):
             parse_spec(bad)
 

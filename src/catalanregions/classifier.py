@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .feasibility import bounded, int_c, region_status, witness_sign_type
+from .feasibility import int_c, region_status, witness_sign_type
 from .rootposet import RootPoset
 from .rootsystem import build
 
@@ -144,7 +144,6 @@ def classify_all(poset):
         if verdict.status == "NonEmpty":
             if a in propagated and verdict.witness is None:
                 raise AssertionError("propagated region without witness")
-            verdict.bounded = bounded(poset, a)
         elif verdict.status == "Empty":
             if a in propagated:
                 raise AssertionError(

@@ -18,7 +18,7 @@ from .classifier import (
     classify_system,
     sweep_ratio,
 )
-from .exactfield import scalar_to_json, set_epsilon
+from .exactfield import scalar_to_json
 from .feasibility import OrderCertificate
 from .render import RankNotTwo, figure_svg
 from .rootposet import RootPoset
@@ -254,14 +254,6 @@ def verify_report(report, expect):
 # commands
 # ---------------------------------------------------------------------------
 
-def _parse_spec_arg(args):
-    spec = parse_spec(args.spec, force_approx=args.field == "approx")
-    if args.field == "exact" and build(spec).field == "approx":
-        raise ValueError(
-            f"{args.spec} has no exact backend; use --field auto or approx")
-    return spec
-
-
 def _emit(text, out):
     if out:
         with open(out, "w") as fh:
@@ -271,7 +263,7 @@ def _emit(text, out):
 
 
 def _cmd_roots(args):
-    rs = build(_parse_spec_arg(args))
+    rs = build(parse_spec(args.spec))
     if args.format == "json":
         _emit(_dump({"spec": rs.spec.label(), "field_backend": rs.field,
                      "roots": rs.roots_to_json()}), args.out)
@@ -286,7 +278,7 @@ def _cmd_roots(args):
 
 
 def _cmd_poset(args):
-    poset = RootPoset(build(_parse_spec_arg(args)))
+    poset = RootPoset(build(parse_spec(args.spec)))
     if args.format == "dot":
         _emit(poset.to_dot() + "\n", args.out)
     elif args.format == "json":
@@ -300,7 +292,7 @@ def _cmd_poset(args):
 
 
 def _cmd_antichains(args):
-    poset = RootPoset(build(_parse_spec_arg(args)))
+    poset = RootPoset(build(parse_spec(args.spec)))
     ac = poset.antichains()
     if args.format == "json":
         _emit(_dump({"total": len(ac),
@@ -331,8 +323,7 @@ def _summary_lines(report):
 
 
 def _cmd_classify(args):
-    spec = _parse_spec_arg(args)
-    report = classify_system(spec)
+    report = classify_system(parse_spec(args.spec))
     if args.format == "text":
         lines = _summary_lines(report)
         if args.show_empty:
@@ -345,7 +336,7 @@ def _cmd_classify(args):
 
 
 def _cmd_verify(args):
-    spec = _parse_spec_arg(args)
+    spec = parse_spec(args.spec)
     expect = expectation_for(spec)
     if expect is None:
         print(f"no catalog entry for {spec.label()}", file=sys.stderr)
@@ -378,8 +369,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_figure(args):
-    spec = _parse_spec_arg(args)
-    poset = RootPoset(build(spec))
+    poset = RootPoset(build(parse_spec(args.spec)))
     report = classify_all(poset)
     svg = figure_svg(poset, report.verdicts)
     _emit(svg + "\n", args.out)
@@ -415,15 +405,10 @@ def build_parser():
                     "for the noncrystallographic root systems H3, H4, I2(m).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, formats=None, field_flags=True):
+    def command(name, help, formats=None):
         """A spec subcommand; formats[0] is the default --format."""
         p = sub.add_parser(name, help=help)
         p.add_argument("spec", help="H3 | H4 | I2:<m>[:r=<ratio>]")
-        if field_flags:
-            p.add_argument("--field", choices=["auto", "exact", "approx"],
-                           default="auto")
-            p.add_argument("--epsilon", default=None,
-                           help="comparison tolerance for the approx backend")
         if formats:
             p.add_argument("--out", default=None)
             p.add_argument("--format", choices=formats, default=formats[0])
@@ -441,8 +426,7 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "text"], default="text")
     command("figure", "SVG of a rank-2 arrangement", ["svg"])
-    command("catalan", "generalized Catalan numbers", ["text", "json"],
-            field_flags=False)
+    command("catalan", "generalized Catalan numbers", ["text", "json"])
     return parser
 
 
@@ -461,8 +445,6 @@ _HANDLERS = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "epsilon", None):
-        set_epsilon(args.epsilon)
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, RankNotTwo) as exc:

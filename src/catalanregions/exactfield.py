@@ -2,12 +2,15 @@
 
 Three kinds of scalar coexist (never mixed within one computation):
 
-* plain rationals (``fractions.Fraction``, or ``gmpy2.mpq`` when available),
+* plain rationals (``fractions.Fraction``),
 * quadratic extensions ``a + b*rho`` where rho > 0 satisfies
   ``rho**2 = p*rho + q`` -- this covers the golden ratio tau (p=q=1),
   sqrt(2) (p=0, q=2) and sqrt(3) (p=0, q=3),
-* high-precision floats with an explicit comparison tolerance, for
-  dihedral systems whose coordinates live in no fixed quadratic field.
+* high-precision floats with a fixed comparison tolerance, for dihedral
+  systems whose coordinates live in no fixed quadratic field.
+
+Which kind a system uses follows from its spec alone (see
+``rootsystem.build``); nothing selects it at run time.
 """
 
 from __future__ import annotations
@@ -16,23 +19,12 @@ from fractions import Fraction
 
 import mpmath
 
-try:
-    from gmpy2 import mpq as _mpq
 
-    def Q(a=0, b=1):
-        if isinstance(a, str) or isinstance(a, float):
-            f = Fraction(a)
-            return _mpq(f.numerator, f.denominator)
-        if isinstance(a, Fraction):
-            return _mpq(a.numerator, a.denominator)
-        return _mpq(a, b)
+def Q(a=0, b=1):
+    return Fraction(a, b) if b != 1 else Fraction(a)
 
-    _RATIONAL_TYPES = (int, Fraction, type(_mpq()))
-except ImportError:  # gmpy2 is the optional `speed` extra
-    def Q(a=0, b=1):
-        return Fraction(a, b) if b != 1 else Fraction(a)
 
-    _RATIONAL_TYPES = (int, Fraction)
+_RATIONAL_TYPES = (int, Fraction)
 
 
 class TagMismatch(TypeError):
@@ -325,10 +317,6 @@ class Approx:
         return f"Approx({mpmath.nstr(self.v, 20)})"
 
 
-def set_epsilon(eps):
-    Approx.epsilon = mpmath.mpf(eps)
-
-
 def sgn(x):
     """Exact sign for rational/quadratic scalars, tolerance sign for Approx."""
     if isinstance(x, (QuadExt, Approx)):
@@ -376,14 +364,6 @@ def as_mpf(x, dps=DECIMAL_DPS):
         if isinstance(x, Approx):
             return x.v
         return mpmath.mpf(int(x.numerator)) / int(x.denominator)
-
-
-def to_decimal(x, digits):
-    """Decimal expansion of x to the given number of significant digits."""
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    with mpmath.workdps(digits + 20):
-        return mpmath.nstr(as_mpf(x, digits + 20), digits, strip_zeros=False)
 
 
 def scalar_to_json(x):

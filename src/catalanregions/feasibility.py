@@ -299,7 +299,8 @@ def region_system(poset, antichain):
 
 
 def region_status(poset, antichain):
-    """Decide emptiness of the dominant region of an antichain (maybe empty)."""
+    """Decide emptiness of the dominant region of an antichain (maybe empty),
+    and the boundedness of a nonempty one."""
     rs = poset.system
     sys, icmax = region_system(poset, antichain)
     res = solve(sys, rs.zero, rs.one)
@@ -307,6 +308,7 @@ def region_status(poset, antichain):
     if res.status == "Feasible":
         verdict.witness = res.witness
         verdict.slack = res.slack
+        verdict.bounded = bounded(poset, icmax)
     elif res.status == "Degenerate":
         verdict.status = "Degenerate"
         verdict.slack = res.slack
@@ -376,15 +378,16 @@ def check_order_certificate(poset, cert):
     return all(sgn(d) >= 0 for d in diff) and any(sgn(d) > 0 for d in diff)
 
 
-def bounded(poset, antichain):
+def bounded(poset, icmax):
     """True iff the supports of the I^c_max roots cover every simple index.
 
-    Inside the chamber a recession direction d >= 0 has (d|gamma) <= 0 for
-    each gamma in I^c_max, so d vanishes on supp(gamma); the region is
-    bounded exactly when that forces d = 0.
+    icmax is ``poset.complement_maximals(poset.ideal(antichain))``, the
+    upper walls of the antichain's region.  Inside the chamber a recession
+    direction d >= 0 has (d|gamma) <= 0 for each gamma in I^c_max, so d
+    vanishes on supp(gamma); the region is bounded exactly when that forces
+    d = 0.
     """
     rs = poset.system
-    icmax = poset.complement_maximals(poset.ideal(antichain))
     covered = {s for i in icmax
                for s, c in enumerate(rs.positives[i].coeffs) if sgn(c) > 0}
     return len(covered) == rs.rank

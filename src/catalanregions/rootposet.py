@@ -77,10 +77,6 @@ class RootPoset:
             raise NotIncreasing(f"{set(increasing)} is not upward closed")
         return self.maximals(set(range(self.size)) - set(increasing))
 
-    def preceq(self, a, b):
-        """Antichain order: a preceq b iff ideal(a) is contained in ideal(b)."""
-        return self.ideal(a) <= self.ideal(b)
-
     # -- enumeration ---------------------------------------------------------
 
     def antichains(self):

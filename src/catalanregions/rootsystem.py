@@ -51,7 +51,6 @@ class SystemSpec:
     family: str                 # "H3" | "H4" | "I2"
     m: int | None = None        # I2 only
     ratio: object = 1           # scalar, or ("sin", k, l) resolved at build
-    force_approx: bool = False
 
     def label(self):
         if self.family != "I2":
@@ -67,10 +66,10 @@ class SystemSpec:
 _SIN_RE = re.compile(r"^sin\((\d+)\)/sin\((\d+)\)$")
 
 
-def parse_spec(text, force_approx=False):
+def parse_spec(text):
     """Parse "H3" | "H4" | "I2:<m>" | "I2:<m>:r=<decimal>" | "I2:<m>:r=sin(k)/sin(l)"."""
     if text in ("H3", "H4"):
-        return SystemSpec(text, force_approx=force_approx)
+        return SystemSpec(text)
     parts = text.split(":")
     if parts[0] != "I2" or len(parts) not in (2, 3):
         raise ValueError(f"bad system spec {text!r}")
@@ -94,15 +93,11 @@ def parse_spec(text, force_approx=False):
                 ratio = Q(body)
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in ratio {body!r}") from None
-    return SystemSpec("I2", m, ratio, force_approx)
+    return SystemSpec("I2", m, ratio)
 
 
 def _exact_sines(m):
     """sin(k*pi/m) for 1 <= k <= m/2 in a single quadratic field, if one exists."""
-    if m == 2:
-        return {1: Q(1)}
-    if m == 3:
-        return None  # odd: ratio is forced to 1 anyway
     if m == 4:
         return {1: sqrt2(0, Q(1, 2)), 2: sqrt2(1, 0)}
     if m == 6:
@@ -114,13 +109,17 @@ def _resolve_ratio(spec):
     """Turn the ratio field into a concrete scalar (exact when the field allows)."""
     r = spec.ratio
     if isinstance(r, tuple):
-        _, k, l = r
-        sines = None if spec.force_approx else _exact_sines(spec.m)
-        if sines is not None and k in sines and l in sines:
+        # sin(k pi/m) = sin((m - k) pi/m), so only k <= m/2 needs a table
+        m = spec.m
+        k, l = min(r[1], m - r[1]), min(r[2], m - r[2])
+        if k == l:
+            return Q(1)
+        sines = _exact_sines(m)
+        if sines is not None:
             return sines[k] / sines[l]
         with mpmath.workdps(60):
-            return Approx(mpmath.sin(k * mpmath.pi / spec.m) /
-                          mpmath.sin(l * mpmath.pi / spec.m))
+            return Approx(mpmath.sin(k * mpmath.pi / m) /
+                          mpmath.sin(l * mpmath.pi / m))
     return r
 
 
@@ -185,10 +184,6 @@ class RootSystem:
         out[i] = out[i] - coef
         return tuple(out)
 
-    def weight_basis(self):
-        """Rows are the fundamental weights in simple-root coordinates (G^-1)."""
-        return _mat_inverse(self.gram, self.zero, self.one)
-
     def roots_to_json(self):
         return [r.to_json() for r in self.positives]
 
@@ -203,21 +198,6 @@ def evaluate(x, root):
         term = xi * ci
         acc = term if acc is None else acc + term
     return acc
-
-
-def _mat_inverse(g, zero, one):
-    n = len(g)
-    aug = [list(g[i]) + [one if i == j else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if not is_zero(aug[r][col]))
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = one / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and not is_zero(aug[r][col]):
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [tuple(row[n:]) for row in aug]
 
 
 def _coeff_cmp(a, b):
@@ -240,21 +220,16 @@ def _gram_matrix(spec):
     """Gram matrix plus the field tag of its entries."""
     if spec.family in ("H3", "H4"):
         n = 3 if spec.family == "H3" else 4
-        if spec.force_approx:
-            one, half = Approx(1), Approx(Q(1, 2))
-            cos5 = Approx(mpmath.cos(mpmath.pi / 5))
-            zero = Approx(0)
-        else:
-            one, half = tau(1, 0), tau(Q(1, 2), 0)
-            cos5 = tau(0, Q(1, 2))
-            zero = tau(0, 0)
+        one, half = tau(1, 0), tau(Q(1, 2), 0)
+        cos5 = tau(0, Q(1, 2))
+        zero = tau(0, 0)
         g = [[zero] * n for _ in range(n)]
         for i in range(n):
             g[i][i] = one
         g[0][1] = g[1][0] = -cos5
         for i in range(1, n - 1):
             g[i][i + 1] = g[i + 1][i] = -half
-        return [tuple(row) for row in g], field_tag(one)
+        return [tuple(row) for row in g], "tau"
 
     m = spec.m
     r = _resolve_ratio(spec)
@@ -265,7 +240,7 @@ def _gram_matrix(spec):
     if sgn(r) <= 0:
         raise NonPositiveRatio("root-length ratio must be positive")
 
-    cos = None if spec.force_approx else _cos_pi_over(m)
+    cos = _cos_pi_over(m)
     if cos is not None and not isinstance(r, Approx):
         if isinstance(r, QuadExt) and isinstance(cos, QuadExt) and r.rel != cos.rel:
             cos = None  # incompatible quadratic fields -> approx backend

@@ -13,12 +13,13 @@ from catalanregions.classifier import (
     sign_type_consistency,
     sweep_ratio,
 )
-from catalanregions.exactfield import is_zero, sgn
+from catalanregions.exactfield import Approx, is_zero, sgn
 from catalanregions.feasibility import region_status
 from catalanregions.rootposet import RootPoset
 from catalanregions.rootsystem import (
     MAX_DIHEDRAL_M,
     OddRatioNotOne,
+    SystemSpec,
     build,
     evaluate,
     parse_spec,
@@ -232,7 +233,8 @@ def test_default_grid_sorted():
 
 def test_classify_all_approx_backend_matches_exact():
     exact = classify_all(RootPoset(build(parse_spec("I2:6"))))
-    approx = classify_all(RootPoset(build(parse_spec("I2:6", force_approx=True))))
+    # an Approx ratio puts I2(6) on the Approx backend, as the sweep midpoints do
+    approx = classify_all(RootPoset(build(SystemSpec("I2", 6, Approx(1)))))
     assert exact.region_count == approx.region_count
     assert exact.bounded_count == approx.bounded_count
     assert not approx.degenerate_flags

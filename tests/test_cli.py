@@ -112,29 +112,6 @@ def test_usage_errors(capsys):
     assert exc.value.code == 2
 
 
-def test_field_exact_rejected_for_approx_only(capsys):
-    code, _, err = run(capsys, "classify", "I2:7", "--field", "exact")
-    assert code == 2 and "no exact backend" in err
-
-
-def test_field_approx_forces_backend(capsys):
-    code, out, _ = run(capsys, "roots", "I2:5", "--field", "approx",
-                       "--format", "json")
-    assert code == 0
-    assert json.loads(out)["field_backend"] == "approx"
-
-
-def test_epsilon_flag(capsys):
-    code, out, _ = run(capsys, "classify", "I2:7", "--format", "text",
-                       "--epsilon", "1e-25")
-    assert code == 0
-    import mpmath
-
-    from catalanregions.exactfield import Approx, set_epsilon
-    assert Approx.epsilon == mpmath.mpf("1e-25")
-    set_epsilon("1e-30")
-
-
 def test_catalan_command(capsys):
     code, out, _ = run(capsys, "catalan", "H4", "--format", "json")
     assert code == 0
@@ -187,6 +164,14 @@ def test_out_file(capsys, tmp_path):
     ["catalan", "H4", "--epsilon", "1e-20"],
     ["sweep", "6", "--field", "exact"],
     ["classify", "I2:5", "--threads", "2"],
+    # the spec alone picks the scalar backend
+    ["classify", "H3", "--field", "approx"],
+    ["classify", "I2:7", "--epsilon", "1e-25"],
+    ["verify", "H4", "--field", "exact"],
+    ["roots", "I2:5", "--field", "approx"],
+    ["poset", "H3", "--epsilon", "1e-20"],
+    ["antichains", "H3", "--field", "auto"],
+    ["figure", "I2:4", "--field", "exact"],
 ])
 def test_unused_flags_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:

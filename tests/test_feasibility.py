@@ -208,22 +208,35 @@ def test_region_witness_sign_type(h3_report, h3_poset):
                 h3_poset.ideal(v.antichain)
 
 
+def _icmax(poset, antichain):
+    return poset.complement_maximals(poset.ideal(antichain))
+
+
 def test_bounded_h3(h3_poset):
     p = h3_poset
     simples = set(p.minimals(range(p.size)))
     for a in p.antichains():
         # bounded exactly when the antichain avoids the minimal (simple) roots
-        assert bounded(p, a) == (not set(a) & simples)
+        assert bounded(p, _icmax(p, a)) == (not set(a) & simples)
 
 
-@pytest.mark.parametrize("label,force_approx", [
+@pytest.mark.parametrize("label,via_region_status", [
     ("H3", False), ("H4", False), ("I2:6", False), ("I2:7", False),
     ("I2:8", False), ("H3", True)])
-def test_bounded_matches_recession_lp(label, force_approx):
-    # I2(7), I2(8) and the forced H3 run on the Approx backend
-    p = RootPoset(build(parse_spec(label, force_approx=force_approx)))
+def test_bounded_matches_recession_lp(label, via_region_status):
+    # I2(7) and I2(8) run on the Approx backend; the via_region_status case
+    # checks the flag region_status sets on each nonempty verdict
+    p = RootPoset(build(parse_spec(label)))
     for a in p.antichains():
-        assert bounded(p, a) == bounded_lp(p, a), a
+        if via_region_status:
+            verdict = region_status(p, a)
+            if verdict.status != "NonEmpty":
+                assert verdict.bounded is None, a
+                continue
+            got = verdict.bounded
+        else:
+            got = bounded(p, _icmax(p, a))
+        assert got == bounded_lp(p, a), a
 
 
 def test_order_certificates_on_h4_empties(h4_report, h4_poset):

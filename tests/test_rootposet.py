@@ -101,15 +101,6 @@ def test_bad_inputs_raise(h3_poset):
         p.complement_maximals({chain[1]} if p.leq(chain[1], chain[0]) else {chain[0]})
 
 
-def test_preceq_by_ideal_containment(h3_poset):
-    p = h3_poset
-    full = p.minimals(range(p.size))
-    for a in p.antichains():
-        assert p.preceq((), a)
-        assert p.preceq(a, full) or not (p.ideal(a) <= p.ideal(full))
-    assert p.preceq(full, full)
-
-
 def test_maximal_antichains(h3_poset):
     p = h3_poset
     maximal = p.maximal_antichains()

@@ -6,6 +6,7 @@ from catalanregions.rootsystem import (
     NonPositiveRatio,
     OddRatioNotOne,
     SystemSpec,
+    _resolve_ratio,
     build,
     evaluate,
     parse_spec,
@@ -27,7 +28,15 @@ def test_backend_selection():
     assert build(parse_spec("I2:5")).field == "tau"
     assert build(parse_spec("I2:6")).field == "sqrt3"
     assert build(parse_spec("I2:7")).field == "approx"
-    assert build(parse_spec("H3", force_approx=True)).field == "approx"
+    # sin(k pi/m) = sin((m - k) pi/m) keeps every sin(k)/sin(l) exact
+    for label, field in [("I2:4:r=sin(3)/sin(1)", "sqrt2"),
+                         ("I2:5:r=sin(2)/sin(3)", "tau"),
+                         ("I2:3:r=sin(1)/sin(2)", "rational"),
+                         ("I2:6:r=sin(5)/sin(1)", "sqrt3")]:
+        assert build(parse_spec(label)).field == field
+        assert _resolve_ratio(parse_spec(label)) == 1
+    assert _resolve_ratio(parse_spec("I2:4:r=sin(3)/sin(2)")) == sqrt2(0, Q(1, 2))
+    assert _resolve_ratio(parse_spec("I2:4:r=sin(2)/sin(1)")) == sqrt2()
 
 
 def test_parse_spec_grammar():
@@ -97,17 +106,6 @@ def test_simple_reflection_negates_simple_root():
     rs = build(parse_spec("H3"))
     e0 = tuple(rs.one if i == 0 else rs.zero for i in range(3))
     assert rs.reflect(0, e0) == tuple(-x for x in e0)
-
-
-def test_weight_basis_duality():
-    for label in ("H3", "H4", "I2:6", "I2:7"):
-        rs = build(parse_spec(label))
-        w = rs.weight_basis()
-        for i in range(rs.rank):
-            for j in range(rs.rank):
-                e_j = tuple(rs.one if k == j else rs.zero for k in range(rs.rank))
-                val = rs.inner(w[i], e_j)
-                assert is_zero(val - (rs.one if i == j else rs.zero))
 
 
 def test_evaluate_is_dot_product():

@@ -7,7 +7,9 @@ Three kinds of scalar coexist (never mixed within one computation):
   ``rho**2 = p*rho + q`` -- this covers the golden ratio tau (p=q=1),
   sqrt(2) (p=0, q=2) and sqrt(3) (p=0, q=3),
 * high-precision floats with a fixed comparison tolerance, for dihedral
-  systems whose coordinates live in no fixed quadratic field.
+  systems whose coordinates live in no fixed quadratic field.  They compute
+  in mpmath's process-wide context, which importing this module raises to
+  ``DECIMAL_DPS`` digits.
 
 Which kind a system uses follows from its spec alone (see
 ``rootsystem.build``); nothing selects it at run time.
@@ -212,7 +214,9 @@ class Approx:
 
     Comparisons whose difference is below ``epsilon`` count as equal; a
     difference within [epsilon, 10*epsilon] is close enough to a tie to be
-    reported as degenerate by callers that care.
+    reported as degenerate by callers that care.  Arithmetic runs in the
+    process-wide mpmath context, which importing this module raises to
+    ``DECIMAL_DPS`` digits; nothing enters a context of its own.
     """
 
     __slots__ = ("v",)
@@ -220,12 +224,10 @@ class Approx:
     epsilon = mpmath.mpf("1e-30")
 
     def __init__(self, v):
-        with mpmath.workdps(DECIMAL_DPS):
-            if isinstance(v, _RATIONAL_TYPES):
-                self.v = mpmath.mpf(int(v.numerator)) / int(v.denominator) \
-                    if not isinstance(v, int) else mpmath.mpf(v)
-            else:
-                self.v = mpmath.mpf(v)
+        if isinstance(v, Fraction):
+            self.v = mpmath.mpf(v.numerator) / v.denominator
+        else:
+            self.v = mpmath.mpf(v)
 
     def _coerce(self, other):
         if isinstance(other, Approx):
@@ -240,21 +242,18 @@ class Approx:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        with mpmath.workdps(DECIMAL_DPS):
-            return Approx(self.v + o.v)
+        return Approx(self.v + o.v)
 
     __radd__ = __add__
 
     def __neg__(self):
-        with mpmath.workdps(DECIMAL_DPS):
-            return Approx(-self.v)
+        return Approx(-self.v)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        with mpmath.workdps(DECIMAL_DPS):
-            return Approx(self.v - o.v)
+        return Approx(self.v - o.v)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -263,8 +262,7 @@ class Approx:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        with mpmath.workdps(DECIMAL_DPS):
-            return Approx(self.v * o.v)
+        return Approx(self.v * o.v)
 
     __rmul__ = __mul__
 
@@ -274,8 +272,7 @@ class Approx:
             return NotImplemented
         if abs(o.v) < Approx.epsilon:
             raise DivByZero("division by (numerically) zero")
-        with mpmath.workdps(DECIMAL_DPS):
-            return Approx(self.v / o.v)
+        return Approx(self.v / o.v)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -292,11 +289,13 @@ class Approx:
         return abs(self.v) < 10 * Approx.epsilon
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        try:
+            o = self._coerce(other)
+        except TagMismatch:
+            return False
         if o is None:
             return NotImplemented
-        with mpmath.workdps(DECIMAL_DPS):
-            return abs(self.v - o.v) < Approx.epsilon
+        return abs(self.v - o.v) < Approx.epsilon
 
     def __lt__(self, other):
         return (self - other).sign() < 0
@@ -330,7 +329,8 @@ def near_tie(x):
 
 
 def is_zero(x):
-    return sgn(x) == 0
+    """Zero test of every scalar kind; for Approx the same tolerance as ``sgn``."""
+    return not x
 
 
 def field_tag(x):
@@ -357,13 +357,12 @@ def one_like(x):
     return Q(1)
 
 
-def as_mpf(x, dps=DECIMAL_DPS):
-    with mpmath.workdps(dps):
-        if isinstance(x, QuadExt):
-            return x.mpf()
-        if isinstance(x, Approx):
-            return x.v
-        return mpmath.mpf(int(x.numerator)) / int(x.denominator)
+def as_mpf(x):
+    if isinstance(x, QuadExt):
+        return x.mpf()
+    if isinstance(x, Approx):
+        return x.v
+    return mpmath.mpf(int(x.numerator)) / int(x.denominator)
 
 
 def scalar_to_json(x):

@@ -368,7 +368,7 @@ def check_order_certificate(poset, cert):
         if sgn(w) < 0:
             return False
     for weights in (cert.lower, cert.upper):
-        if not is_zero(sum((w for _, w in weights), zero) - rs.one):
+        if sum((w for _, w in weights), zero) != rs.one:
             return False
     diff = [zero] * rs.rank
     for i, w in cert.upper:

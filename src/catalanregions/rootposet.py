@@ -7,7 +7,7 @@ increasing sets are frozensets.
 
 from __future__ import annotations
 
-from .exactfield import is_zero, sgn
+from .exactfield import sgn
 
 
 class NotAntichain(ValueError):
@@ -131,8 +131,7 @@ class RootPoset:
                     simple = False
                     for s in range(rs.rank):
                         refl = rs.reflect(s, rs.positives[i].coeffs)
-                        if all(is_zero(a - b)
-                               for a, b in zip(refl, rs.positives[j].coeffs)):
+                        if refl == rs.positives[j].coeffs:
                             simple = True
                             break
                     edges.append((i, j, simple))

@@ -117,9 +117,8 @@ def _resolve_ratio(spec):
         sines = _exact_sines(m)
         if sines is not None:
             return sines[k] / sines[l]
-        with mpmath.workdps(60):
-            return Approx(mpmath.sin(k * mpmath.pi / m) /
-                          mpmath.sin(l * mpmath.pi / m))
+        return Approx(mpmath.sin(k * mpmath.pi / m) /
+                      mpmath.sin(l * mpmath.pi / m))
     return r
 
 
@@ -235,7 +234,7 @@ def _gram_matrix(spec):
     r = _resolve_ratio(spec)
     if isinstance(r, tuple):
         raise ValueError("unresolved ratio token")
-    if m % 2 == 1 and not is_zero(r - one_like(r)):
+    if m % 2 == 1 and r != 1:
         raise OddRatioNotOne(f"I2({m}) with odd m requires ratio 1")
     if sgn(r) <= 0:
         raise NonPositiveRatio("root-length ratio must be positive")
@@ -256,10 +255,9 @@ def _gram_matrix(spec):
             off = -(rr * cc)
             return [(one, off), (off, rr * rr)], field_tag(one)
 
-    with mpmath.workdps(60):
-        ra = r if isinstance(r, Approx) else Approx(r) if not isinstance(r, QuadExt) \
-            else Approx(r.mpf())
-        ca = Approx(mpmath.cos(mpmath.pi / m))
+    ra = r if isinstance(r, Approx) else Approx(r) if not isinstance(r, QuadExt) \
+        else Approx(r.mpf())
+    ca = Approx(mpmath.cos(mpmath.pi / m))
     one = Approx(1)
     off = -(ra * ca)
     return [(one, off), (off, ra * ra)], "approx"
@@ -279,11 +277,8 @@ class _SeenSet:
             if coeffs in self.exact:
                 return False
             self.exact.add(coeffs)
-            self.items.append(coeffs)
-            return True
-        for other in self.items:
-            if all(is_zero(a - b) for a, b in zip(coeffs, other)):
-                return False
+        elif coeffs in self.items:
+            return False
         self.items.append(coeffs)
         return True
 
@@ -339,15 +334,9 @@ def _orbits(rs, simples, positives):
             coeffs = tuple(zero_like(x) - x for x in coeffs)
         return coeffs
 
-    def find(coeffs):
-        for k, p in enumerate(positives):
-            if all(is_zero(a - b) for a, b in zip(coeffs, p)):
-                return k
-        raise KeyError("root not found")
-
     orbit = [None] * len(positives)
     for si in range(n):
-        start = find(simples[si])
+        start = positives.index(simples[si])
         if orbit[start] is not None:
             continue
         stack = [start]
@@ -355,7 +344,7 @@ def _orbits(rs, simples, positives):
         while stack:
             k = stack.pop()
             for i in range(n):
-                img = find(pos_rep(rs.reflect(i, positives[k])))
+                img = positives.index(pos_rep(rs.reflect(i, positives[k])))
                 if orbit[img] is None:
                     orbit[img] = si
                     stack.append(img)

@@ -29,3 +29,20 @@ def test_tracer_hooks_h3_census():
     metrics = tracer.metrics(1.0, 1.0, len(data))
     assert metrics["feasibility.lp_calls"][0] > 0
     assert metrics["exactfield.quad_ops"][0] > 0
+
+
+def test_tracer_hooks_i2_6_sweep():
+    """The sweep midpoints run on Approx, so its patched methods are hit."""
+    prog = run.load_program(str(ROOT))
+    tracer = spans.Tracer(prog)
+    tracer.install()
+    try:
+        rows = prog.classifier.sweep_ratio(6)
+    finally:
+        tracer.uninstall()
+    want = run.load_reference()["sweeps"]["6"]
+    assert len(rows) == len(want)
+    for got, ref in zip(rows, want):
+        assert all(got[k] == ref[k] for k in run.ROW_KEYS), ref["ratio"]
+    metrics = tracer.metrics(1.0, 1.0, 0)
+    assert metrics["exactfield.approx_ops"][0] > 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import jsonschema
@@ -75,12 +76,26 @@ def test_h4_report_validates(h4_report):
     assert all("witness" in a and "bounded" in a for a in nonempty)
 
 
+# sha256 of `classify` stdout on the Approx backend, pinned like H3 and H4
+APPROX_REPORT_SHA256 = {
+    "I2:7": "1a28bda4b8dee7ee477be04573dd64045ad37aa8dbe3b5cb4411cb05aef3ee76",
+    "I2:8:r=1.3":
+        "3f8780e34940b166b3f8b27232a15cf25a40fc831ce38b1edffe59863ebf30c7",
+    "I2:12:r=sin(1)/sin(4)":
+        "5f5aed68d916a977681a1cc9d6ae23999d363564f1d91d494a2cd5ceaae4ad98",
+}
+
+
 def test_classify_deterministic(capsys):
     _, out1, _ = run(capsys, "classify", "I2:7")
     _, out2, _ = run(capsys, "classify", "I2:7")
     assert out1 == out2
     code, out, _ = run(capsys, "classify", "H3")
     assert code == 0 and matches_reference_report("H3", out.encode())
+    for spec, want in APPROX_REPORT_SHA256.items():
+        code, out, _ = run(capsys, "classify", spec)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want, spec
 
 
 def test_verify_ok(capsys):

@@ -46,13 +46,17 @@ def test_signs_of_basic_elements():
 def test_sign_matches_decimal_evaluation():
     rng = random.Random(20240817)
     for ctor in (tau, sqrt2, sqrt3):
-        for _ in range(400):
-            x = ctor(Q(rng.randint(-30, 30), rng.randint(1, 30)),
-                     Q(rng.randint(-30, 30), rng.randint(1, 30)))
+        samples = [ctor(0, 0), Q(0)] + [
+            ctor(Q(rng.randint(-30, 30), rng.randint(1, 30)),
+                 Q(rng.randint(-30, 30), rng.randint(1, 30)))
+            for _ in range(400)]
+        for x in samples:
             with mpmath.workdps(50):
                 approx = as_mpf(x)
                 expected = 0 if approx == 0 else (1 if approx > 0 else -1)
             assert sgn(x) == expected
+            # the zero test reads no sign; the sign is its oracle
+            assert is_zero(x) == (sgn(x) == 0)
 
 
 def test_field_axioms_random_triples():
@@ -97,6 +101,11 @@ def test_tag_mismatch():
     with pytest.raises(TagMismatch):
         Approx(1) - tau()
     assert (tau() == sqrt2()) is False
+    # equality across fields is False in either operand order, never an error
+    for x, y in ((tau(), Approx(1)), (sqrt2(1, 0), Approx(1)),
+                 (tau(1, 0), Approx(1))):
+        assert (x == y) is False and (y == x) is False
+        assert (x != y) is True and (y != x) is True
 
 
 def test_div_by_zero():
@@ -116,6 +125,8 @@ def test_rational_coercion():
 def test_approx_tolerance(monkeypatch):
     assert Approx("1e-40").sign() == 0
     assert Approx("1e-20").sign() == 1
+    assert is_zero(Approx("1e-40"))
+    assert not is_zero(Approx("1e-20"))
     assert near_tie(Approx("5e-30"))
     assert not near_tie(Approx("1e-28"))
     monkeypatch.setattr(Approx, "epsilon", mpmath.mpf("1e-10"))
@@ -127,6 +138,11 @@ def test_approx_precision_survives_negation():
     y = -(-x)
     assert is_zero(x - y)
     assert mpmath.mp.dps >= 60
+    # each fails if Approx ever computes at mpmath's default 15 digits
+    assert (Approx(1) + Approx("1e-45")).v != 1
+    assert abs(int((Approx(1) / 3).v * 10**55) - 10**55 // 3) <= 1
+    # x/3*3 also rounds back to 1 at 15 digits, so this bounds the error only
+    assert abs((Approx(1) / 3 * 3 - 1).v) < mpmath.mpf("1e-55")
 
 
 def test_field_tags():

@@ -1,0 +1,8 @@
+"""``python -m catalanregions``: the same command line as ``catalanregions``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,7 +5,11 @@ Three kinds of scalar coexist (never mixed within one computation):
 * plain rationals (``fractions.Fraction``),
 * quadratic extensions ``a + b*rho`` where rho > 0 satisfies
   ``rho**2 = p*rho + q`` -- this covers the golden ratio tau (p=q=1),
-  sqrt(2) (p=0, q=2) and sqrt(3) (p=0, q=3),
+  sqrt(2) (p=0, q=2) and sqrt(3) (p=0, q=3).  An element is stored
+  fraction-free as ints ``(x + y*rho)/d`` with ``d > 0`` and
+  ``gcd(x, y, d) == 1``, so each element has one triple; arithmetic and
+  signs run on plain ints, and ``a = x/d``, ``b = y/d`` are ``Fraction``
+  views,
 * high-precision floats with a fixed comparison tolerance, for dihedral
   systems whose coordinates live in no fixed quadratic field.  They compute
   in mpmath's process-wide context, which importing this module raises to
@@ -18,6 +22,7 @@ Which kind a system uses follows from its spec alone (see
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 
@@ -56,99 +61,175 @@ def _qsign(r):
     return (r > 0) - (r < 0)
 
 
-class QuadExt:
-    """Element ``a + b*rho`` of a real quadratic field, exact ordered arithmetic."""
+def _parts(c):
+    """Numerator and denominator of an int or Fraction component."""
+    if isinstance(c, int):
+        return int(c), 1
+    if isinstance(c, Fraction):
+        return c.numerator, c.denominator
+    raise TypeError(f"QuadExt components must be int or Fraction, "
+                    f"not {type(c).__name__}")
 
-    __slots__ = ("a", "b", "rel")
+
+def _reduce(x, y, d, rel):
+    """The element (x + y*rho)/d of ints with d > 0, in lowest terms.
+
+    It calls neither ``__init__`` nor an arithmetic dunder, so operation
+    counts taken on the dunders see only the callers' operations.
+    """
+    g = gcd(x, y, d)
+    if g != 1:
+        x //= g
+        y //= g
+        d //= g
+    r = object.__new__(QuadExt)
+    r.x = x
+    r.y = y
+    r.d = d
+    r.rel = rel
+    return r
+
+
+class QuadExt:
+    """Element ``(x + y*rho)/d`` of a real quadratic field, exact ordered arithmetic.
+
+    ``x``, ``y`` and ``d`` are ints with ``d > 0`` and ``gcd(x, y, d) == 1``,
+    so every element has exactly one triple and equality compares triples.
+    ``a`` and ``b`` are read-only ``Fraction`` views of ``x/d`` and ``y/d``.
+    """
+
+    __slots__ = ("x", "y", "d", "rel")
 
     def __init__(self, a, b, rel):
-        self.a = a if type(a) is not int else Q(a)
-        self.b = b if type(b) is not int else Q(b)
+        an, ad = _parts(a)
+        bn, bd = _parts(b)
+        g = gcd(ad, bd)
+        # d = lcm(ad, bd); gcd(x, y, d) == 1 as both parts are in lowest terms
+        self.x = an * (bd // g)
+        self.y = bn * (ad // g)
+        self.d = ad // g * bd
         self.rel = rel
 
+    @property
+    def a(self):
+        return Fraction(self.x, self.d)
+
+    @property
+    def b(self):
+        return Fraction(self.y, self.d)
+
     def _coerce(self, other):
+        """``other`` as a triple (x, y, d) of self's field, or None."""
         if isinstance(other, QuadExt):
             if other.rel is not self.rel and other.rel != self.rel:
                 raise TagMismatch(f"cannot mix {self.rel[2]} with {other.rel[2]}")
-            return other
-        if isinstance(other, _RATIONAL_TYPES):
-            return QuadExt(Q(other), Q(0), self.rel)
+            return other.x, other.y, other.d
+        if isinstance(other, int):
+            return other, 0, 1
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
         if isinstance(other, Approx):
             raise TagMismatch(f"cannot mix {self.rel[2]} with approx")
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b, self.rel)
+        if type(other) is QuadExt and other.rel is self.rel:
+            x, y, d = other.x, other.y, other.d
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+            x, y, d = o
+        sd = self.d
+        if d == sd:
+            return _reduce(self.x + x, self.y + y, d, self.rel)
+        return _reduce(self.x * d + x * sd, self.y * d + y * sd, sd * d, self.rel)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.rel)
+        return _reduce(-self.x, -self.y, self.d, self.rel)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadExt(self.a - o.a, self.b - o.b, self.rel)
+        if type(other) is QuadExt and other.rel is self.rel:
+            x, y, d = other.x, other.y, other.d
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+            x, y, d = o
+        sd = self.d
+        if d == sd:
+            return _reduce(self.x - x, self.y - y, d, self.rel)
+        return _reduce(self.x * d - x * sd, self.y * d - y * sd, sd * d, self.rel)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if type(other) is QuadExt and other.rel is self.rel:
+            x, y, d = other.x, other.y, other.d
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+            x, y, d = o
+        sx, sy = self.x, self.y
+        if y == 0:
+            return _reduce(sx * x, sy * x, self.d * d, self.rel)
         p, q, _ = self.rel
-        bb = self.b * o.b
-        return QuadExt(self.a * o.a + q * bb, self.a * o.b + self.b * o.a + p * bb, self.rel)
+        yy = sy * y
+        return _reduce(sx * x + q * yy, sx * y + sy * x + p * yy, self.d * d, self.rel)
 
     __rmul__ = __mul__
 
-    def _norm(self):
-        # (a + b*rho)(a + b*(p - rho)) = a^2 + p*a*b - q*b^2
-        p, q, _ = self.rel
-        return self.a * self.a + p * self.a * self.b - q * self.b * self.b
-
-    def _conj(self):
-        p, _, _ = self.rel
-        return QuadExt(self.a + p * self.b, -self.b, self.rel)
-
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n = o._norm()
-        if n == 0:
-            raise DivByZero("division by zero")
-        c = o._conj()
-        return QuadExt((self.a * c.a + self.rel[1] * self.b * c.b) / n,
-                       (self.a * c.b + self.b * c.a + self.rel[0] * self.b * c.b) / n,
-                       self.rel)
+        if type(other) is QuadExt and other.rel is self.rel:
+            x, y, d = other.x, other.y, other.d
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+            x, y, d = o
+        sx, sy = self.x, self.y
+        if y == 0:
+            if x == 0:
+                raise DivByZero("division by zero")
+            if x < 0:
+                d, x = -d, -x
+            return _reduce(sx * d, sy * d, self.d * x, self.rel)
+        # 1/o = d * (x + p*y - y*rho) / n, with n = x^2 + p*x*y - q*y^2 the
+        # norm of x + y*rho; n is never 0 for y != 0, since rho is irrational
+        p, q, _ = self.rel
+        n = x * x + p * x * y - q * y * y
+        if n < 0:
+            d, n = -d, -n
+        c = x + p * y
+        yy = sy * y
+        return _reduce(d * (sx * c - q * yy), d * (sy * c - sx * y - p * yy),
+                       self.d * n, self.rel)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o / self
+        return _reduce(*o, self.rel) / self
 
     def sign(self):
-        # a + b*rho = (2a + p*b + b*sqrt(D)) / 2 with D = p^2 + 4q.
+        # (x + y*rho)/d with d > 0 has the sign of x + y*rho
+        # = (2x + p*y + y*sqrt(D)) / 2 with D = p^2 + 4q.
         p, q, _ = self.rel
-        big_a = 2 * self.a + p * self.b
-        big_b = self.b
-        if big_b == 0:
+        y = self.y
+        big_a = 2 * self.x + p * y
+        if y == 0:
             return _qsign(big_a)
         if big_a == 0:
-            return _qsign(big_b)
-        sa, sb = _qsign(big_a), _qsign(big_b)
+            return _qsign(y)
+        sa, sb = _qsign(big_a), _qsign(y)
         if sa == sb:
             return sa
-        d = p * p + 4 * q
-        cmp = _qsign(big_a * big_a - d * big_b * big_b)
-        return sa * cmp if cmp else 0
+        cmp = _qsign(big_a * big_a - (p * p + 4 * q) * y * y)
+        return sa * cmp
 
     def __eq__(self, other):
         try:
@@ -157,13 +238,13 @@ class QuadExt:
             return False
         if o is None:
             return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return self.x == o[0] and self.y == o[1] and self.d == o[2]
 
     def __hash__(self):
-        # equal to a rational when b == 0, so hash like that rational
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.rel[2]))
+        # equal to a rational when y == 0, so hash like that rational
+        if self.y == 0:
+            return hash(Fraction(self.x, self.d))
+        return hash((self.x, self.y, self.d, self.rel[2]))
 
     def __lt__(self, other):
         return (self - other).sign() < 0
@@ -178,35 +259,37 @@ class QuadExt:
         return (self - other).sign() >= 0
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return self.x != 0 or self.y != 0
 
     def __repr__(self):
         return f"QuadExt({self.a}, {self.b}, {self.rel[2]})"
 
     def __str__(self):
-        return f"{self.a}{'+' if self.b >= 0 else ''}{self.b}{self.rel[2]}"
+        return f"{self.a}{'+' if self.y >= 0 else ''}{self.b}{self.rel[2]}"
 
     def root_value(self):
         p, q, _ = self.rel
         return (p + mpmath.sqrt(p * p + 4 * q)) / 2
 
     def mpf(self):
+        # a + rho*b, evaluated in this order from the reduced fractions
         rho = self.root_value()
-        return mpmath.mpf(int(self.a.numerator)) / int(self.a.denominator) + \
-            rho * int(self.b.numerator) / int(self.b.denominator)
+        a, b = self.a, self.b
+        return mpmath.mpf(a.numerator) / a.denominator + \
+            rho * b.numerator / b.denominator
 
 
 def tau(a=0, b=1):
     """The golden-ratio scalar a + b*tau with tau**2 = tau + 1."""
-    return QuadExt(Q(a), Q(b), REL_TAU)
+    return QuadExt(a, b, REL_TAU)
 
 
 def sqrt2(a=0, b=1):
-    return QuadExt(Q(a), Q(b), REL_SQRT2)
+    return QuadExt(a, b, REL_SQRT2)
 
 
 def sqrt3(a=0, b=1):
-    return QuadExt(Q(a), Q(b), REL_SQRT3)
+    return QuadExt(a, b, REL_SQRT3)
 
 
 class Approx:
@@ -343,7 +426,7 @@ def field_tag(x):
 
 def zero_like(x):
     if isinstance(x, QuadExt):
-        return QuadExt(Q(0), Q(0), x.rel)
+        return _reduce(0, 0, 1, x.rel)
     if isinstance(x, Approx):
         return Approx(0)
     return Q(0)
@@ -351,7 +434,7 @@ def zero_like(x):
 
 def one_like(x):
     if isinstance(x, QuadExt):
-        return QuadExt(Q(1), Q(0), x.rel)
+        return _reduce(1, 0, 1, x.rel)
     if isinstance(x, Approx):
         return Approx(1)
     return Q(1)

@@ -4,7 +4,19 @@ import hashlib
 import json
 from pathlib import Path
 
-from catalanregions.exactfield import Q, is_zero, sgn, tau
+import mpmath
+
+from catalanregions.exactfield import (
+    _RATIONAL_TYPES,
+    Approx,
+    DivByZero,
+    Q,
+    TagMismatch,
+    _qsign,
+    is_zero,
+    sgn,
+    tau,
+)
 from catalanregions.feasibility import DimensionMismatch, int_c, lp_max
 
 
@@ -228,3 +240,147 @@ def lp_max_reference(n, objective, rows, zero, one):
     duals = [zero - red[n + i] for i in range(m)]
     opt = sum((cj * x[j] for j, cj in enumerate(objective)), zero)
     return "optimal", x, duals, opt
+
+
+class QuadExtReference:
+    """Oracle for exactfield.QuadExt: the earlier pair of Fractions ``a + b*rho``.
+
+    Each component is a ``Fraction`` and every operation runs on them; the
+    class is kept unchanged apart from its name.
+    """
+
+    __slots__ = ("a", "b", "rel")
+
+    def __init__(self, a, b, rel):
+        self.a = a if type(a) is not int else Q(a)
+        self.b = b if type(b) is not int else Q(b)
+        self.rel = rel
+
+    def _coerce(self, other):
+        if isinstance(other, QuadExtReference):
+            if other.rel is not self.rel and other.rel != self.rel:
+                raise TagMismatch(f"cannot mix {self.rel[2]} with {other.rel[2]}")
+            return other
+        if isinstance(other, _RATIONAL_TYPES):
+            return QuadExtReference(Q(other), Q(0), self.rel)
+        if isinstance(other, Approx):
+            raise TagMismatch(f"cannot mix {self.rel[2]} with approx")
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return QuadExtReference(self.a + o.a, self.b + o.b, self.rel)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QuadExtReference(-self.a, -self.b, self.rel)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return QuadExtReference(self.a - o.a, self.b - o.b, self.rel)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        p, q, _ = self.rel
+        bb = self.b * o.b
+        return QuadExtReference(self.a * o.a + q * bb, self.a * o.b + self.b * o.a + p * bb, self.rel)
+
+    __rmul__ = __mul__
+
+    def _norm(self):
+        # (a + b*rho)(a + b*(p - rho)) = a^2 + p*a*b - q*b^2
+        p, q, _ = self.rel
+        return self.a * self.a + p * self.a * self.b - q * self.b * self.b
+
+    def _conj(self):
+        p, _, _ = self.rel
+        return QuadExtReference(self.a + p * self.b, -self.b, self.rel)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        n = o._norm()
+        if n == 0:
+            raise DivByZero("division by zero")
+        c = o._conj()
+        return QuadExtReference((self.a * c.a + self.rel[1] * self.b * c.b) / n,
+                       (self.a * c.b + self.b * c.a + self.rel[0] * self.b * c.b) / n,
+                       self.rel)
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o / self
+
+    def sign(self):
+        # a + b*rho = (2a + p*b + b*sqrt(D)) / 2 with D = p^2 + 4q.
+        p, q, _ = self.rel
+        big_a = 2 * self.a + p * self.b
+        big_b = self.b
+        if big_b == 0:
+            return _qsign(big_a)
+        if big_a == 0:
+            return _qsign(big_b)
+        sa, sb = _qsign(big_a), _qsign(big_b)
+        if sa == sb:
+            return sa
+        d = p * p + 4 * q
+        cmp = _qsign(big_a * big_a - d * big_b * big_b)
+        return sa * cmp if cmp else 0
+
+    def __eq__(self, other):
+        try:
+            o = self._coerce(other)
+        except TagMismatch:
+            return False
+        if o is None:
+            return NotImplemented
+        return self.a == o.a and self.b == o.b
+
+    def __hash__(self):
+        # equal to a rational when b == 0, so hash like that rational
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self.rel[2]))
+
+    def __lt__(self, other):
+        return (self - other).sign() < 0
+
+    def __le__(self, other):
+        return (self - other).sign() <= 0
+
+    def __gt__(self, other):
+        return (self - other).sign() > 0
+
+    def __ge__(self, other):
+        return (self - other).sign() >= 0
+
+    def __bool__(self):
+        return self.a != 0 or self.b != 0
+
+    def __repr__(self):
+        return f"QuadExt({self.a}, {self.b}, {self.rel[2]})"
+
+    def __str__(self):
+        return f"{self.a}{'+' if self.b >= 0 else ''}{self.b}{self.rel[2]}"
+
+    def root_value(self):
+        p, q, _ = self.rel
+        return (p + mpmath.sqrt(p * p + 4 * q)) / 2
+
+    def mpf(self):
+        rho = self.root_value()
+        return mpmath.mpf(int(self.a.numerator)) / int(self.a.denominator) + \
+            rho * int(self.b.numerator) / int(self.b.denominator)

@@ -2,10 +2,18 @@
 name; a rename or a method moved to a base class must fail here, not only in
 a traced benchmark run."""
 
+import json
 import sys
 from pathlib import Path
 
-from helpers import matches_reference_report
+from catalanregions.classifier import default_ratio_grid
+from catalanregions.exactfield import (
+    QuadExt,
+    as_mpf,
+    scalar_from_json,
+    scalar_to_json,
+)
+from helpers import QuadExtReference, matches_reference_report
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -46,3 +54,26 @@ def test_tracer_hooks_i2_6_sweep():
         assert all(got[k] == ref[k] for k in run.ROW_KEYS), ref["ratio"]
     metrics = tracer.metrics(1.0, 1.0, 0)
     assert metrics["exactfield.approx_ops"][0] > 0
+
+
+def test_kernel_operands_round_trip():
+    """The tau operands the kernel timings parse serialize back unchanged."""
+    pool = json.loads(
+        (ROOT / "perfbench" / "fixtures" / "tau_operands.json").read_text())
+    docs = [d for key in ("mul", "div") for pair in pool[key] for d in pair]
+    docs += pool["sign"]
+    assert len(docs) == 1280
+    for doc in docs:
+        assert scalar_to_json(scalar_from_json(doc)) == doc
+
+
+def test_ratio_grid_values_match_reference_scalar(monkeypatch):
+    """The sweep grid's values, midpoints included, do not depend on how a
+    quadratic scalar is stored."""
+    grid = [(label, as_mpf(r)) for label, r in default_ratio_grid(6)]
+    assert any(isinstance(r, QuadExt) for _, r in default_ratio_grid(6))
+    monkeypatch.setattr(
+        QuadExt, "mpf",
+        lambda self: QuadExtReference(self.a, self.b, self.rel).mpf())
+    assert [(label, as_mpf(r)) for label, r in default_ratio_grid(6)] == grid
+

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -208,3 +212,15 @@ def test_format_choices_per_subcommand(capsys):
 def test_sweep_bad_m(capsys, m):
     code, out, err = run(capsys, "sweep", m)
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "catalanregions", "verify", "H3"],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert "H3: ok" in done.stdout
+

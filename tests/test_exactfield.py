@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import mpmath
 import pytest
@@ -6,6 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catalanregions.exactfield import (
+    REL_SQRT2,
+    REL_SQRT3,
+    REL_TAU,
     Approx,
     DivByZero,
     Q,
@@ -22,7 +26,7 @@ from catalanregions.exactfield import (
     sqrt3,
     tau,
 )
-from helpers import random_tau
+from helpers import QuadExtReference, random_tau
 
 
 def test_defining_relations():
@@ -179,3 +183,122 @@ def test_quadext_canonical_idempotence():
     x = tau(Q(6, 4), Q(-10, 15))
     assert x.a == Q(3, 2) and x.b == Q(-2, 3)
     assert isinstance(x + 0, QuadExt)
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2", mpmath.mpf("0.1"), Approx(1)],
+                         ids=["float", "str", "mpf", "Approx"])
+def test_quadext_rejects_inexact_components(bad):
+    for a, b in ((bad, 0), (0, bad)):
+        with pytest.raises(TypeError):
+            QuadExt(a, b, REL_TAU)
+    with pytest.raises(TypeError):
+        tau(bad, 1)
+
+
+def test_equal_values_hash_alike():
+    x, y = tau(Q(2, 4), Q(-6, 8)), tau(Q(1, 2), Q(-3, 4))
+    assert x == y and hash(x) == hash(y)
+    z = tau(Q(1, 4), Q(-3, 8)) * 2
+    assert z == x and hash(z) == hash(x)
+    assert len({tau(Q(1, 2), 0), Q(1, 2)}) == 1
+    assert len({sqrt2(Q(3, 2), 1) - sqrt2(0, 1), Q(3, 2)}) == 1
+
+
+def test_div_by_zero_every_field():
+    for zero in (tau(0, 0), sqrt2(0, 0), sqrt3(0, 0)):
+        for num in (tau(1, 1), sqrt2(1, 1), sqrt3(1, 1)):
+            if num.rel is zero.rel:
+                with pytest.raises(DivByZero):
+                    num / zero
+        with pytest.raises(DivByZero):
+            1 / zero
+        with pytest.raises(DivByZero):
+            zero / 0
+        with pytest.raises(DivByZero):
+            zero / Q(0)
+
+
+def test_division_by_negative_norm():
+    # 1 - tau has norm 1 - 1 - 1 = -1, so the denominator must flip its sign
+    x = tau(1, -1)
+    inv = 1 / x
+    assert inv == tau(0, -1) and inv.d == 1
+    assert x * inv == 1
+    y = tau(Q(3, 5), Q(7, 2)) / x
+    assert y.d > 0 and y * x == tau(Q(3, 5), Q(7, 2))
+    assert sqrt2(1, 1) / sqrt2(1, -1) == sqrt2(-3, -2)   # norm 1 - 2 = -1
+
+
+# (numerator, denominator) pools: small values, numerators near 2**100,
+# denominators sharing factors with each other, negatives and zero
+_NUMS = (0, 1, -1, 2, -3, 7, -12, 2**100, -(2**100), 2**100 + 7,
+         -(2**100 - 3), 3 * 2**99 + 1)
+_DENS = (1, 2, 3, 4, 6, 12, 35, 2**50, 3 * 2**50, 6 * 2**100, 2**100 + 1)
+
+
+def _component(rng):
+    return Q(rng.choice(_NUMS), rng.choice(_DENS))
+
+
+def _assert_same(new, ref):
+    """`new` is canonical and agrees with the Fraction-pair oracle `ref`."""
+    assert type(new) is QuadExt and new.rel is ref.rel
+    assert new.d > 0 and gcd(new.x, new.y, new.d) == 1
+    assert (new.a, new.b) == (ref.a, ref.b)
+    assert new.sign() == ref.sign()
+    assert scalar_to_json(new) == {"a": str(ref.a), "b": str(ref.b),
+                                   "field": ref.rel[2]}
+    assert new.mpf() == ref.mpf()
+    assert repr(new) == repr(ref) and str(new) == str(ref)
+    if ref.b == 0:
+        assert hash(new) == hash(ref) == hash(ref.a)
+    else:
+        assert hash(new) == hash(QuadExt(ref.a, ref.b, ref.rel))
+
+
+def _apply(op, x, y):
+    """op(x, y), or the exception type it raises."""
+    try:
+        return op(x, y)
+    except DivByZero:
+        return DivByZero
+
+
+_OPS = (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+        lambda x, y: x / y)
+
+
+@pytest.mark.parametrize("rel", [REL_TAU, REL_SQRT2, REL_SQRT3],
+                         ids=lambda rel: rel[2])
+def test_quadext_matches_fraction_pair_reference(rel):
+    rng = random.Random(f"quadext-{rel[2]}")
+    comps = [(_component(rng), _component(rng)) for _ in range(30)]
+    comps += [(Q(0), Q(0)), (Q(1), Q(0)), (Q(1), Q(-1)), (Q(0), Q(1)),
+              (Q(-1, 2), Q(1, 2)), (Q(2**100, 3), Q(-(2**100), 3))]
+    pairs = [(QuadExt(a, b, rel), QuadExtReference(a, b, rel))
+             for a, b in comps]
+    rationals = [0, 1, -3, 2**100, Q(5, 6), Q(-(2**100) - 1, 3 * 2**50)]
+    for x, rx in pairs:
+        _assert_same(x, rx)
+        _assert_same(-x, -rx)
+        assert bool(x) == bool(rx)
+        for k in rationals:
+            assert (x == k) == (rx == k)
+            for op in _OPS:
+                for got, want in ((_apply(op, x, k), _apply(op, rx, k)),
+                                  (_apply(op, k, x), _apply(op, k, rx))):
+                    if want is DivByZero:
+                        assert got is DivByZero
+                    else:
+                        _assert_same(got, want)
+        for y, ry in pairs:
+            assert (x == y) == (rx == ry)
+            assert (x < y) == (rx < ry) and (x >= y) == (rx >= ry)
+            for op in _OPS:
+                want = _apply(op, rx, ry)
+                got = _apply(op, x, y)
+                if want is DivByZero:
+                    assert got is DivByZero
+                else:
+                    _assert_same(got, want)
+

@@ -22,7 +22,7 @@ from .exactfield import scalar_to_json
 from .feasibility import OrderCertificate
 from .render import RankNotTwo, figure_svg
 from .rootposet import RootPoset
-from .rootsystem import build, parse_spec
+from .rootsystem import _resolve_ratio, build, parse_spec
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +221,7 @@ def expectation_for(spec):
         return CatalogExpectation(
             regions=(3 * m + 1) // 2, bounded=(3 * m + 1) // 2 - 3,
             empty_sizes={}, bijection=True)
-    if spec.ratio == 1:
+    if _resolve_ratio(spec) == 1:
         return CatalogExpectation(
             regions=3 * m // 2 + 1, bounded=3 * m // 2 - 2,
             empty_sizes={}, bijection=True)

@@ -313,7 +313,7 @@ class Approx:
             self.v = mpmath.mpf(v)
 
     def _coerce(self, other):
-        if isinstance(other, Approx):
+        if type(other) is Approx:
             return other
         if isinstance(other, _RATIONAL_TYPES):
             return Approx(other)
@@ -325,18 +325,18 @@ class Approx:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Approx(self.v + o.v)
+        return _approx(self.v + o.v)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Approx(-self.v)
+        return _approx(-self.v)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Approx(self.v - o.v)
+        return _approx(self.v - o.v)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -345,7 +345,7 @@ class Approx:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Approx(self.v * o.v)
+        return _approx(self.v * o.v)
 
     __rmul__ = __mul__
 
@@ -355,7 +355,7 @@ class Approx:
             return NotImplemented
         if abs(o.v) < Approx.epsilon:
             raise DivByZero("division by (numerically) zero")
-        return Approx(self.v / o.v)
+        return _approx(self.v / o.v)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -364,9 +364,12 @@ class Approx:
         return o / self
 
     def sign(self):
-        if abs(self.v) < Approx.epsilon:
-            return 0
-        return 1 if self.v > 0 else -1
+        v, eps = self.v, Approx.epsilon
+        if v >= eps:
+            return 1
+        if v <= -eps:
+            return -1
+        return 0
 
     def near_tie(self):
         return abs(self.v) < 10 * Approx.epsilon
@@ -397,6 +400,17 @@ class Approx:
 
     def __repr__(self):
         return f"Approx({mpmath.nstr(self.v, 20)})"
+
+
+def _approx(v):
+    """Approx around an mpf result, without ``__init__``'s type test and copy.
+
+    Every mpf operation already rounds to the process-wide context, so the
+    value is stored as it is; like ``_reduce``, no arithmetic dunder runs.
+    """
+    r = object.__new__(Approx)
+    r.v = v
+    return r
 
 
 def sgn(x):

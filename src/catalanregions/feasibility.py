@@ -1,11 +1,14 @@
 """Exact linear feasibility over an ordered field.
 
-The engine decides systems mixing equalities and *strict* inequalities by
-maximising a uniform slack t (capped at 1): the open polyhedron is nonempty
-iff the optimum t* is positive.  On failure the simplex duals give a Farkas
-certificate; for empty dominant regions a second LP searches for the more
-readable root-order certificate (a convex comparison between the two
-antichains bounding the region).
+Int_C(A), the chamber points at level one on an antichain, is decided by
+elimination: row reduction of the equalities, then Fourier-Motzkin over the
+at most rank - 1 null-space parameters, which yields an exact witness or
+the Farkas multipliers of a refutation.  Regions mix many strict rows and
+go through the LP engine, which maximises a uniform slack t (capped at 1):
+the open polyhedron is nonempty iff the optimum t* is positive.  On failure
+the simplex duals give a Farkas certificate; for empty dominant regions a
+second LP searches for the more readable root-order certificate (a convex
+comparison between the two antichains bounding the region).
 """
 
 from __future__ import annotations
@@ -274,16 +277,122 @@ def _chamber_rows(rs):
 
 
 def int_c(poset, antichain):
-    """Feasibility of {(v|beta) = 1 for beta in antichain} inside the chamber."""
+    """Int_C(A) = {v > 0 : (v|beta) = 1 for beta in A}, decided by elimination.
+
+    Row reduction solves the equalities as v = v0 + N s over the null-space
+    parameters s, and drops consistent dependent rows; an inconsistent one
+    is refuted by its row combination alone.  The chamber rows v_i > 0 then
+    become strict rows in s, and Fourier-Motzkin elimination removes one
+    parameter at a time, each row carrying its nonnegative multipliers over
+    the chamber rows.  A final constant <= 0 makes those multipliers a
+    Farkas certificate; otherwise back-substitution through the open
+    intervals of each level gives an exact witness.
+    """
     if not antichain:
         raise EmptyAntichain("int_c needs a nonempty antichain")
     rs = poset.system
+    zero, one = rs.zero, rs.one
+    n, k = rs.rank, len(antichain)
     sys = LinearSystem(
-        rs.rank,
-        equalities=[(rs.positives[i].coeffs, rs.one) for i in antichain],
+        n,
+        equalities=[(rs.positives[i].coeffs, one) for i in antichain],
         strict_ge=_chamber_rows(rs),
     )
-    return solve(sys, rs.zero, rs.one)
+
+    def refuted(lam, mu):
+        cert = {"ge": lam, "le": [], "eq": mu}
+        check_farkas(sys, cert, zero)
+        return FeasibilityResult("Infeasible", farkas=cert)
+
+    # reduced row echelon form of [B | 1]; combos[r] writes row r as a
+    # combination of the equalities as given
+    rows = [list(a) + [b] for a, b in sys.equalities]
+    combos = [[one if j == i else zero for j in range(k)] for i in range(k)]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, k) if not is_zero(rows[i][col])), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        combos[r], combos[piv] = combos[piv], combos[r]
+        inv = one / rows[r][col]
+        rows[r] = [x * inv for x in rows[r]]
+        combos[r] = [x * inv for x in combos[r]]
+        for i in range(k):
+            f = rows[i][col]
+            if i != r and not is_zero(f):
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                combos[i] = [x - f * y for x, y in zip(combos[i], combos[r])]
+        pivots.append(col)
+    for row, combo in zip(rows[len(pivots):], combos[len(pivots):]):
+        # the row reads 0 = row[n]; a nonzero constant refutes the equalities
+        if not is_zero(row[n]):
+            if sgn(row[n]) < 0:
+                combo = [zero - x for x in combo]
+            return refuted([zero] * n, combo)
+
+    # chamber row i as (g, h, lam): g + h.s > 0, lam its chamber multipliers
+    free = [c for c in range(n) if c not in pivots]
+    chamber = [None] * n
+    for t, c in enumerate(free):
+        chamber[c] = (zero, [one if u == t else zero for u in range(len(free))])
+    for r, c in enumerate(pivots):
+        chamber[c] = (rows[r][n], [zero - rows[r][f] for f in free])
+    level = [(g, h, [one if j == i else zero for j in range(n)])
+             for i, (g, h) in enumerate(chamber)]
+
+    levels = []
+    for t in range(len(free)):
+        levels.append(level)
+        signs = [sgn(h[t]) for _, h, _ in level]
+        nxt = [row for row, sg in zip(level, signs) if sg == 0]
+        for (gp, hp, lp), sp in zip(level, signs):
+            if sp <= 0:
+                continue
+            for (gq, hq, lq), sq in zip(level, signs):
+                if sq >= 0:
+                    continue
+                # positive weights a, b cancel the s_t coefficient
+                a, b = zero - hq[t], hp[t]
+                nxt.append((a * gp + b * gq,
+                            [a * x + b * y for x, y in zip(hp, hq)],
+                            [a * x + b * y for x, y in zip(lp, lq)]))
+        level = nxt
+
+    for g, _, lam in level:
+        if sgn(g) <= 0 and not near_tie(g):
+            # sum(lam_i v_i) is the constant g on the equalities' solution
+            # set, so it equals sum(nu_k beta_k) with sum(nu_k) = g
+            mu = [zero] * k
+            for r, c in enumerate(pivots):
+                mu = [y - lam[c] * x for y, x in zip(mu, combos[r])]
+            return refuted(lam, mu)
+    if any(near_tie(g) for g, _, _ in level):
+        return FeasibilityResult("Degenerate")
+
+    # back-substitute: each level bounds its parameter by open intervals,
+    # and the chamber row s_t > 0 is always among the lower bounds.  While
+    # s_t is chosen, it and the parameters eliminated before it are zero.
+    s = [zero] * len(free)
+
+    def at(g, h):
+        return sum((x * y for x, y in zip(h, s)), g)
+
+    for t in reversed(range(len(free))):
+        lo = hi = None
+        for g, h, _ in levels[t]:
+            sg = sgn(h[t])
+            if sg == 0:
+                continue
+            bound = (zero - at(g, h)) / h[t]
+            if sg > 0 and (lo is None or bound > lo):
+                lo = bound
+            elif sg < 0 and (hi is None or bound < hi):
+                hi = bound
+        s[t] = lo + one if hi is None else (lo + hi) / 2
+    return FeasibilityResult(
+        "Feasible", witness=tuple(at(g, h) for g, h in chamber))
 
 
 def region_system(poset, antichain):

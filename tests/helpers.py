@@ -17,7 +17,14 @@ from catalanregions.exactfield import (
     sgn,
     tau,
 )
-from catalanregions.feasibility import DimensionMismatch, int_c, lp_max
+from catalanregions.feasibility import (
+    DimensionMismatch,
+    EmptyAntichain,
+    LinearSystem,
+    _chamber_rows,
+    lp_max,
+    solve,
+)
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" \
@@ -105,13 +112,26 @@ def bounded_lp(poset, antichain):
     return sgn(opt) == 0
 
 
+def int_c_lp(poset, antichain):
+    """Feasibility of {(v|beta) = 1 for beta in antichain} inside the chamber."""
+    if not antichain:
+        raise EmptyAntichain("int_c needs a nonempty antichain")
+    rs = poset.system
+    sys = LinearSystem(
+        rs.rank,
+        equalities=[(rs.positives[i].coeffs, rs.one) for i in antichain],
+        strict_ge=_chamber_rows(rs),
+    )
+    return solve(sys, rs.zero, rs.one)
+
+
 def bijection_lp(poset):
     """Int_C by LP on every nonempty antichain: (bad, degenerate) lists."""
     bad, degenerate = [], []
     for a in poset.antichains():
         if not a:
             continue
-        status = int_c(poset, a).status
+        status = int_c_lp(poset, a).status
         if status == "Infeasible":
             bad.append(a)
         elif status == "Degenerate":

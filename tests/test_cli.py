@@ -103,7 +103,10 @@ def test_classify_deterministic(capsys):
 
 
 def test_verify_ok(capsys):
-    for spec in ("H3", "I2:3", "I2:4", "I2:9", "I2:10"):
+    # the last two ratios resolve to exactly 1: sin(5) = sin(1) for m = 6
+    # and sin(5) = sin(3) for m = 8
+    for spec in ("H3", "I2:3", "I2:4", "I2:9", "I2:10",
+                 "I2:6:r=sin(1)/sin(5)", "I2:8:r=sin(3)/sin(5)"):
         code, out, _ = run(capsys, "verify", spec)
         assert code == 0, out
         assert "ok" in out

@@ -133,6 +133,17 @@ def test_approx_tolerance(monkeypatch):
     assert not is_zero(Approx("1e-20"))
     assert near_tie(Approx("5e-30"))
     assert not near_tie(Approx("1e-28"))
+    # |v| >= epsilon has a sign, anything strictly inside is zero
+    eps = Approx.epsilon
+    assert Approx(eps).sign() == 1 and Approx(-eps).sign() == -1
+    inside = eps * (1 - mpmath.mpf("1e-20"))
+    assert Approx(inside).sign() == 0 and Approx(-inside).sign() == 0
+    # each result holds the mpmath value of the operation itself
+    a, b = Approx(mpmath.mpf(2) / 7), Approx(mpmath.sqrt(3))
+    assert (a * b).v == a.v * b.v
+    assert (a / b).v == a.v / b.v
+    assert (a - b).v == a.v - b.v
+    assert type(a * b) is Approx and type((a * b).v) is mpmath.mpf
     monkeypatch.setattr(Approx, "epsilon", mpmath.mpf("1e-10"))
     assert Approx("1e-12").sign() == 0
 

@@ -1,15 +1,18 @@
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from catalanregions import feasibility
+from catalanregions.classifier import default_ratio_grid
 from catalanregions.exactfield import Q, is_zero, sgn, tau
 from catalanregions.feasibility import (
     DimensionMismatch,
     EmptyAntichain,
     LinearSystem,
     OrderCertificate,
+    _chamber_rows,
     bounded,
     check_farkas,
     check_order_certificate,
@@ -21,8 +24,8 @@ from catalanregions.feasibility import (
     witness_sign_type,
 )
 from catalanregions.rootposet import RootPoset
-from catalanregions.rootsystem import build, evaluate, parse_spec
-from helpers import bounded_lp, lp_max_reference
+from catalanregions.rootsystem import SystemSpec, build, evaluate, parse_spec
+from helpers import bounded_lp, int_c_lp, lp_max_reference
 
 ZERO, ONE = Q(0), Q(1)
 
@@ -191,6 +194,87 @@ def test_int_c_simple_roots_h3(h3_poset):
         assert is_zero(evaluate(res.witness, rs.positives[i]) - rs.one)
     with pytest.raises(EmptyAntichain):
         int_c(h3_poset, ())
+
+
+def _int_c_system(poset, antichain):
+    rs = poset.system
+    return LinearSystem(
+        rs.rank,
+        equalities=[(rs.positives[i].coeffs, rs.one) for i in antichain],
+        strict_ge=_chamber_rows(rs))
+
+
+def _assert_int_c_sound(poset, antichain, res):
+    """A witness lies in Int_C exactly; a certificate re-checks."""
+    rs = poset.system
+    if res.status == "Feasible":
+        assert all(sgn(x) > 0 for x in res.witness), antichain
+        for i in antichain:
+            assert is_zero(evaluate(res.witness, rs.positives[i]) - rs.one)
+    elif res.status == "Infeasible":
+        assert check_farkas(_int_c_system(poset, antichain), res.farkas,
+                            rs.zero)
+
+
+def _int_c_posets(label):
+    if label.startswith("sweep"):
+        m = int(label[len("sweep"):])
+        return [RootPoset(build(SystemSpec("I2", m, r)))
+                for _, r in default_ratio_grid(m)]
+    return [RootPoset(build(parse_spec(label)))]
+
+
+@pytest.mark.parametrize("label", ["H3", "H4", "I2:5", "I2:7", "I2:8:r=1.3",
+                                   "I2:30", "sweep6", "sweep12"])
+def test_int_c_matches_lp_oracle(label):
+    # I2(7), I2(8) at r = 1.3, I2(30) and most sweep systems run on Approx
+    statuses = Counter()
+    for p in _int_c_posets(label):
+        for a in p.antichains():
+            if not a:
+                continue
+            res = int_c(p, a)
+            assert res.status == int_c_lp(p, a).status, (label, a)
+            _assert_int_c_sound(p, a, res)
+            statuses[res.status] += 1
+    assert statuses["Feasible"]
+    if label == "H4":
+        assert statuses["Infeasible"] == 16
+
+
+@pytest.mark.parametrize("label", ["I2:7", "I2:12:r=sin(1)/sin(4)"])
+def test_int_c_near_ties_on_approx(label):
+    # every root set up to the rank; a pair whose difference is a multiple
+    # of a simple root meets level one only on a chamber wall, which the
+    # Approx backend reports as Degenerate instead of guessing a sign
+    p = RootPoset(build(parse_spec(label)))
+    statuses = Counter()
+    for size in range(1, p.system.rank + 1):
+        for a in combinations(range(p.size), size):
+            res = int_c(p, a)
+            assert res.status == int_c_lp(p, a).status, a
+            _assert_int_c_sound(p, a, res)
+            statuses[res.status] += 1
+    assert min(statuses[s] for s in ("Feasible", "Infeasible", "Degenerate"))
+
+
+@pytest.mark.parametrize("label,size,sample", [
+    ("H3", 4, 120), ("I2:6", 3, 20), ("I2:8:r=1.3", 3, 30)])
+def test_int_c_rank_deficient(label, size, sample):
+    # rank + 1 roots are dependent: the LP refutes every such set, by the
+    # equalities alone or, for a consistent dependency, with chamber rows
+    p = RootPoset(build(parse_spec(label)))
+    subsets = random.Random(31).sample(
+        list(combinations(range(p.size), size)), sample)
+    branches = Counter()
+    for a in subsets:
+        res = int_c(p, a)
+        assert res.status == int_c_lp(p, a).status == "Infeasible", a
+        _assert_int_c_sound(p, a, res)
+        branches[all(is_zero(x) for x in res.farkas["ge"])] += 1
+    assert branches[True]
+    if label == "H3":
+        assert branches[False]
 
 
 def test_region_status_empty_antichain(h3_poset):

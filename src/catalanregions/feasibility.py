@@ -151,7 +151,6 @@ class FeasibilityResult:
     status: str                  # "Feasible" | "Infeasible" | "Degenerate"
     witness: tuple | None = None
     farkas: dict | None = None   # {"ge": [...], "le": [...], "eq": [...]}
-    slack: object | None = None  # achieved uniform margin t*
 
 
 def solve(sys, zero, one):
@@ -192,13 +191,12 @@ def solve(sys, zero, one):
         raise RuntimeError("slack LP unbounded")
 
     # opt is None when even the weak (closed) system is empty
-    t_star = opt
-    if t_star is not None:
-        if near_tie(t_star):
-            return FeasibilityResult("Degenerate", slack=t_star)
-        if sgn(t_star) > 0:
+    if opt is not None:
+        if near_tie(opt):
+            return FeasibilityResult("Degenerate")
+        if sgn(opt) > 0:
             witness = tuple(x[i] - x[n + i] for i in range(n))
-            return FeasibilityResult("Feasible", witness=witness, slack=t_star)
+            return FeasibilityResult("Feasible", witness=witness)
 
     # aggregate with weights lam_ge on (a.x > b), lam_le on (a.x < b) and a
     # signed mu on each equality cancels x and leaves 0 > c0 >= 0
@@ -212,9 +210,9 @@ def solve(sys, zero, one):
             mu.append(zero - y)
         elif kind == "eq-":
             mu[-1] = mu[-1] + y
-    cert = {"ge": lam_ge, "le": lam_le, "eq": mu, "t_star": t_star}
+    cert = {"ge": lam_ge, "le": lam_le, "eq": mu}
     check_farkas(sys, cert, zero)
-    return FeasibilityResult("Infeasible", farkas=cert, slack=t_star)
+    return FeasibilityResult("Infeasible", farkas=cert)
 
 
 def check_farkas(sys, cert, zero):
@@ -266,7 +264,6 @@ class RegionVerdict:
     certificate: object = None  # OrderCertificate or farkas dict
     bounded: bool | None = None
     method: str = "LP"        # "Propagated" | "LP"
-    slack: object | None = None
 
 
 def _chamber_rows(rs):
@@ -416,11 +413,9 @@ def region_status(poset, antichain):
     verdict = RegionVerdict(tuple(antichain), "NonEmpty")
     if res.status == "Feasible":
         verdict.witness = res.witness
-        verdict.slack = res.slack
         verdict.bounded = bounded(poset, icmax)
     elif res.status == "Degenerate":
         verdict.status = "Degenerate"
-        verdict.slack = res.slack
     else:
         verdict.status = "Empty"
         cert = order_certificate(poset, tuple(antichain), icmax)

@@ -28,9 +28,8 @@ from .exactfield import (
     zero_like,
 )
 
-CLOSURE_CAP = 10_000
-# largest dihedral m accepted: building I2(m) off the exact fields is
-# quadratic in m, and the closure cap is reached near m = 5000
+# largest dihedral m accepted: RootPoset's pairwise order, quadratic in m,
+# takes 1-2 s at m = 400 on the approx backend
 MAX_DIHEDRAL_M = 400
 
 
@@ -43,7 +42,7 @@ class NonPositiveRatio(ValueError):
 
 
 class ClosureOverflow(RuntimeError):
-    """Reflection closure exceeded the cap; the Gram matrix is not valid."""
+    """The Gram matrix gave more or fewer positive roots than its type has."""
 
 
 @dataclass(frozen=True)
@@ -263,89 +262,65 @@ def _gram_matrix(spec):
     return [(one, off), (off, ra * ra)], "approx"
 
 
-class _SeenSet:
-    """Dedup container for coefficient vectors; tolerance-based under approx."""
-
-    def __init__(self, approx):
-        self.approx = approx
-        self.exact = set()
-        self.items = []
-
-    def add(self, coeffs):
-        """Insert; returns True if new."""
-        if not self.approx:
-            if coeffs in self.exact:
-                return False
-            self.exact.add(coeffs)
-        elif coeffs in self.items:
-            return False
-        self.items.append(coeffs)
-        return True
-
-
 def build(spec):
-    """Construct the root system by reflection closure of the simple roots."""
+    """Construct the positive roots as a descent tree over the simple roots.
+
+    A descent of a positive root gamma is an i with (gamma|alpha_i) > 0.
+    Every non-simple positive root has one, and s_i gamma is then a lower
+    positive root, since s_i permutes the positive roots other than alpha_i
+    (Humphreys, Reflection Groups and Coxeter Groups, 1990, 1.4).  Taking
+    s_j gamma, for j the smallest descent, as gamma's parent makes the
+    positive roots a tree, so each is reached once and no negative root is.
+    """
     gram, field = _gram_matrix(spec)
     n = len(gram)
     zero = zero_like(gram[0][0])
     one = one_like(gram[0][0])
+    expected = {"H3": 15, "H4": 60}.get(spec.family, spec.m)
 
     rs = RootSystem(spec, gram, (), field)
-    simples = [tuple(one if j == i else zero for j in range(n)) for i in range(n)]
 
-    seen = _SeenSet(field == "approx")
-    frontier = list(simples)
-    for s in simples:
-        seen.add(s)
+    def signs(coeffs):
+        """sgn((coeffs|alpha_i)) for each simple index i."""
+        return [sgn(sum((c * gram[k][i] for k, c in enumerate(coeffs)), zero))
+                for i in range(n)]
+
+    # (coefficients, index of the simple root at the top of its tree)
+    found = [(tuple(one if j == i else zero for j in range(n)), i)
+             for i in range(n)]
+    frontier = [(c, top, signs(c)) for c, top in found]
     while frontier:
         nxt = []
-        for coeffs in frontier:
-            for i in range(n):
-                image = rs.reflect(i, coeffs)
-                if seen.add(image):
-                    nxt.append(image)
-            if len(seen.items) > CLOSURE_CAP:
-                raise ClosureOverflow("reflection closure exceeded cap")
+        for beta, top, beta_signs in frontier:
+            for j in range(n):
+                if beta_signs[j] >= 0:
+                    continue
+                gamma = rs.reflect(j, beta)
+                gamma_signs = signs(gamma)
+                if any(s > 0 for s in gamma_signs[:j]):
+                    continue
+                found.append((gamma, top))
+                if len(found) > expected:
+                    raise ClosureOverflow(
+                        f"more than the expected {expected} positive roots")
+                nxt.append((gamma, top, gamma_signs))
         frontier = nxt
-
-    positives = [c for c in seen.items
-                 if all(sgn(x) >= 0 for x in c) and any(sgn(x) > 0 for x in c)]
-
-    positives.sort(key=functools.cmp_to_key(_coeff_cmp))
-
-    expected = {"H3": 15, "H4": 60}.get(spec.family, spec.m)
-    if len(positives) != expected:
+    if len(found) != expected:
         raise ClosureOverflow(
-            f"closure produced {len(positives)} positive roots, expected {expected}")
+            f"found {len(found)} positive roots, expected {expected}")
 
-    orbit_of = _orbits(rs, simples, positives)
-    roots = tuple(
-        Root(i, c, rs.inner(c, c), orbit_of[i]) for i, c in enumerate(positives))
-    rs.positives = roots
+    # alpha_i and alpha_j share an orbit when m_ij, the number of roots
+    # supported on {i, j}, is odd; each class is named by its least index
+    orbit = list(range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            m_ij = sum(1 for c, _ in found
+                       if not any(c[k] for k in range(n) if k not in (i, j)))
+            if m_ij % 2:
+                lo, hi = sorted((orbit[i], orbit[j]))
+                orbit = [lo if o == hi else o for o in orbit]
+
+    found.sort(key=functools.cmp_to_key(lambda a, b: _coeff_cmp(a[0], b[0])))
+    rs.positives = tuple(Root(i, c, rs.inner(c, c), orbit[top])
+                         for i, (c, top) in enumerate(found))
     return rs
-
-
-def _orbits(rs, simples, positives):
-    """Map canonical root position -> smallest simple index in its orbit."""
-    n = len(simples)
-
-    def pos_rep(coeffs):
-        if all(sgn(x) <= 0 for x in coeffs):
-            coeffs = tuple(zero_like(x) - x for x in coeffs)
-        return coeffs
-
-    orbit = [None] * len(positives)
-    for si in range(n):
-        start = positives.index(simples[si])
-        if orbit[start] is not None:
-            continue
-        stack = [start]
-        orbit[start] = si
-        while stack:
-            k = stack.pop()
-            for i in range(n):
-                img = positives.index(pos_rep(rs.reflect(i, positives[k])))
-                if orbit[img] is None:
-                    orbit[img] = si
-                    stack.append(img)
-    return orbit

@@ -1,5 +1,6 @@
 """Shared oracles and generators used by several test modules."""
 
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -14,8 +15,10 @@ from catalanregions.exactfield import (
     TagMismatch,
     _qsign,
     is_zero,
+    one_like,
     sgn,
     tau,
+    zero_like,
 )
 from catalanregions.feasibility import (
     DimensionMismatch,
@@ -24,6 +27,13 @@ from catalanregions.feasibility import (
     _chamber_rows,
     lp_max,
     solve,
+)
+from catalanregions.rootsystem import (
+    ClosureOverflow,
+    Root,
+    RootSystem,
+    _coeff_cmp,
+    _gram_matrix,
 )
 
 
@@ -35,6 +45,101 @@ def matches_reference_report(label, data):
     """True iff report bytes hash to the stored reference for `label`."""
     want = json.loads(REFERENCE.read_text())["reports"][label]["sha256"]
     return hashlib.sha256(data).hexdigest() == want
+
+
+CLOSURE_CAP = 10_000
+
+
+class _SeenSet:
+    """Dedup container for coefficient vectors; tolerance-based under approx."""
+
+    def __init__(self, approx):
+        self.approx = approx
+        self.exact = set()
+        self.items = []
+
+    def add(self, coeffs):
+        """Insert; returns True if new."""
+        if not self.approx:
+            if coeffs in self.exact:
+                return False
+            self.exact.add(coeffs)
+        elif coeffs in self.items:
+            return False
+        self.items.append(coeffs)
+        return True
+
+
+def positive_roots_by_closure(spec):
+    """Oracle for rootsystem.build: the earlier reflection closure.
+
+    It closes the simple roots under every simple reflection, keeping the
+    negative roots and deduplicating each image against all roots held, then
+    filters the positive roots, sorts them and finds their orbits by a second
+    search.  Returns the positive roots as rootsystem.Root objects.
+    """
+    gram, field = _gram_matrix(spec)
+    n = len(gram)
+    zero = zero_like(gram[0][0])
+    one = one_like(gram[0][0])
+
+    rs = RootSystem(spec, gram, (), field)
+    simples = [tuple(one if j == i else zero for j in range(n)) for i in range(n)]
+
+    seen = _SeenSet(field == "approx")
+    frontier = list(simples)
+    for s in simples:
+        seen.add(s)
+    while frontier:
+        nxt = []
+        for coeffs in frontier:
+            for i in range(n):
+                image = rs.reflect(i, coeffs)
+                if seen.add(image):
+                    nxt.append(image)
+            if len(seen.items) > CLOSURE_CAP:
+                raise ClosureOverflow("reflection closure exceeded cap")
+        frontier = nxt
+
+    positives = [c for c in seen.items
+                 if all(sgn(x) >= 0 for x in c) and any(sgn(x) > 0 for x in c)]
+
+    positives.sort(key=functools.cmp_to_key(_coeff_cmp))
+
+    expected = {"H3": 15, "H4": 60}.get(spec.family, spec.m)
+    if len(positives) != expected:
+        raise ClosureOverflow(
+            f"closure produced {len(positives)} positive roots, expected {expected}")
+
+    orbit_of = _orbits(rs, simples, positives)
+    return tuple(
+        Root(i, c, rs.inner(c, c), orbit_of[i]) for i, c in enumerate(positives))
+
+
+def _orbits(rs, simples, positives):
+    """Map canonical root position -> smallest simple index in its orbit."""
+    n = len(simples)
+
+    def pos_rep(coeffs):
+        if all(sgn(x) <= 0 for x in coeffs):
+            coeffs = tuple(zero_like(x) - x for x in coeffs)
+        return coeffs
+
+    orbit = [None] * len(positives)
+    for si in range(n):
+        start = positives.index(simples[si])
+        if orbit[start] is not None:
+            continue
+        stack = [start]
+        orbit[start] = si
+        while stack:
+            k = stack.pop()
+            for i in range(n):
+                img = positives.index(pos_rep(rs.reflect(i, positives[k])))
+                if orbit[img] is None:
+                    orbit[img] = si
+                    stack.append(img)
+    return orbit
 
 
 def random_rational(rng, span=20):

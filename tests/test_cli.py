@@ -33,6 +33,13 @@ def test_roots_text(capsys):
     assert "15 positive roots" in out
 
 
+def test_roots_largest_dihedral(capsys):
+    code, out, _ = run(capsys, "roots", "I2:400")
+    assert code == 0
+    assert "(approx backend, 400 positive roots)" in out
+    assert sum(" orbit a" in line for line in out.splitlines()) == 400
+
+
 def test_roots_json(capsys):
     code, out, _ = run(capsys, "roots", "I2:4", "--format", "json")
     assert code == 0

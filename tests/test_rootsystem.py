@@ -1,23 +1,61 @@
 import pytest
 
+from catalanregions import rootsystem
+from catalanregions.classifier import default_ratio_grid
 from catalanregions.exactfield import Q, is_zero, sgn, sqrt2, sqrt3, tau
 from catalanregions.rootsystem import (
     MAX_DIHEDRAL_M,
+    ClosureOverflow,
     NonPositiveRatio,
     OddRatioNotOne,
     SystemSpec,
+    _gram_matrix,
     _resolve_ratio,
     build,
     evaluate,
     parse_spec,
 )
+from helpers import positive_roots_by_closure
 
 
 def test_positive_root_counts():
     assert len(build(parse_spec("H3")).positives) == 15
     assert len(build(parse_spec("H4")).positives) == 60
-    for m in range(2, 31):
+    for m in [*range(2, 31), MAX_DIHEDRAL_M - 1, MAX_DIHEDRAL_M]:
         assert len(build(parse_spec(f"I2:{m}")).positives) == m
+
+
+def test_build_matches_closure_oracle():
+    labels = ["H3", "H4", *(f"I2:{m}" for m in range(2, 61)), "I2:100",
+              "I2:8:r=1.3", "I2:4:r=sin(3)/sin(2)", "I2:12:r=sin(1)/sin(4)"]
+    specs = [parse_spec(label) for label in labels]
+    specs += [SystemSpec("I2", m, r)
+              for m in (6, 12) for _, r in default_ratio_grid(m)]
+    assert any(build(s).field == "approx" for s in specs if s.m == 6)
+    for spec in specs:
+        got = build(spec).positives
+        want = positive_roots_by_closure(spec)
+        # Root equality covers index, coeffs, norm2 and orbit; the JSON
+        # covers the printed digits
+        assert got == want, spec
+        assert [r.to_json() for r in got] == [r.to_json() for r in want], spec
+
+
+def test_infinite_group_raises_closure_overflow(monkeypatch):
+    # affine A1~: (a0|a1) = -1 makes s0 s1 of infinite order
+    one = Q(1)
+    monkeypatch.setattr(rootsystem, "_gram_matrix",
+                        lambda spec: ([(one, -one), (-one, one)], "rational"))
+    with pytest.raises(ClosureOverflow):
+        build(parse_spec("I2:7"))
+
+
+def test_wrong_gram_raises_closure_overflow(monkeypatch):
+    # the I2(5) Gram matrix has 5 positive roots, not the 7 of I2(7)
+    gram5 = _gram_matrix(parse_spec("I2:5"))
+    monkeypatch.setattr(rootsystem, "_gram_matrix", lambda spec: gram5)
+    with pytest.raises(ClosureOverflow):
+        build(parse_spec("I2:7"))
 
 
 def test_backend_selection():
@@ -125,6 +163,12 @@ def test_orbits():
     assert {r.orbit for r in i24.positives} == {0, 1}
     i25 = build(parse_spec("I2:5"))
     assert {r.orbit for r in i25.positives} == {0}
+    h4 = build(parse_spec("H4"))
+    assert {r.orbit for r in h4.positives} == {0}
+    even = build(parse_spec(f"I2:{MAX_DIHEDRAL_M}"))
+    assert {r.orbit for r in even.positives} == {0, 1}
+    odd = build(parse_spec(f"I2:{MAX_DIHEDRAL_M - 1}"))
+    assert {r.orbit for r in odd.positives} == {0}
 
 
 def test_gram_matrix_h3():

@@ -1,6 +1,6 @@
 """Full census of dominant regions: good/bad maximal antichains, propagation
-below good maximal antichains, LP resolution of the survivors, boundedness,
-the bijection criterion and the generalized Catalan comparison."""
+below good maximal antichains, an LP for every region (propagated or not),
+boundedness, the bijection criterion and the generalized Catalan comparison."""
 
 from __future__ import annotations
 
@@ -92,7 +92,7 @@ def bijection_criterion(poset, maximal_verdicts):
 
     Verdicts of the maximal pass are reused: if A lies under a good maximal
     antichain M, then Int_C(M) is inside Int_C(A), so only antichains under
-    no good maximal antichain, and not maximal themselves, need an LP.
+    no good maximal antichain, and not maximal themselves, go through int_c.
     """
     held = {v.antichain: v for v in maximal_verdicts}
     good = [set(v.antichain) for v in maximal_verdicts if v.good]

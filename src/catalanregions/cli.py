@@ -323,6 +323,8 @@ def _summary_lines(report):
 
 
 def _cmd_classify(args):
+    if args.show_empty and args.format != "text":
+        raise ValueError("--show-empty needs --format text")
     report = classify_system(parse_spec(args.spec))
     if args.format == "text":
         lines = _summary_lines(report)

@@ -2,7 +2,9 @@
 
 Roots are referred to by their canonical position (0-based index into
 ``RootSystem.positives``).  Antichains are sorted tuples of indices,
-increasing sets are frozensets.
+increasing sets are frozensets.  Bit j of the int ``_up[i]`` (``_down[i]``)
+is set when root j lies above (below) root i, i included; every query is a
+mask expression.
 """
 
 from __future__ import annotations
@@ -18,64 +20,73 @@ class NotIncreasing(ValueError):
     pass
 
 
+def _mask(roots):
+    return sum(1 << i for i in set(roots))
+
+
+def _bits(mask):
+    """The set bits of ``mask``, ascending."""
+    return [i for i, b in enumerate(reversed(bin(mask))) if b == "1"]
+
+
+def _extremes(s, beyond):
+    """Roots i of the mask s with nothing else of s in beyond[i]."""
+    return tuple(i for i in _bits(s) if beyond[i] & s == 1 << i)
+
+
 class RootPoset:
     def __init__(self, system):
         self.system = system
         n = len(system.positives)
         self.size = n
+        self._full = (1 << n) - 1
         coeffs = [r.coeffs for r in system.positives]
         # beta <= gamma iff every simple coefficient of gamma - beta is >= 0
-        self._leq = [
-            [all(sgn(cj - ci) >= 0 for ci, cj in zip(coeffs[i], coeffs[j]))
-             for j in range(n)]
-            for i in range(n)
-        ]
+        self._up, self._down = [0] * n, [0] * n
+        for i, ci in enumerate(coeffs):
+            for j, cj in enumerate(coeffs):
+                if all(sgn(b - a) >= 0 for a, b in zip(ci, cj)):
+                    self._up[i] |= 1 << j
+                    self._down[j] |= 1 << i
         self._hasse = None
         self._antichains = None
 
     def leq(self, i, j):
-        return self._leq[i][j]
+        return bool(self._up[i] >> j & 1)
 
     def comparable(self, i, j):
-        return self._leq[i][j] or self._leq[j][i]
+        return bool((self._up[i] | self._down[i]) >> j & 1)
 
     # -- antichain / increasing-set primitives ------------------------------
 
     def minimals(self, roots):
-        roots = set(roots)
-        return tuple(sorted(
-            i for i in roots
-            if not any(self._leq[j][i] for j in roots if j != i)))
+        return _extremes(_mask(roots), self._down)
 
     def maximals(self, roots):
-        roots = set(roots)
-        return tuple(sorted(
-            i for i in roots
-            if not any(self._leq[i][j] for j in roots if j != i)))
+        return _extremes(_mask(roots), self._up)
 
     def is_antichain(self, roots):
-        roots = tuple(roots)
-        return all(not self.comparable(a, b)
-                   for k, a in enumerate(roots) for b in roots[k + 1:])
+        roots = tuple(roots)  # a repeated root is not maximal twice
+        return len(self.maximals(roots)) == len(roots)
 
     def is_increasing(self, roots):
-        roots = set(roots)
-        return all(j in roots
-                   for i in roots for j in range(self.size) if self._leq[i][j])
+        s = _mask(roots)
+        return all(not self._up[i] & ~s for i in _bits(s))
 
     def ideal(self, antichain):
         """The increasing set generated by an antichain."""
         if not self.is_antichain(antichain):
             raise NotAntichain(f"{antichain} is not an antichain")
-        return frozenset(
-            j for j in range(self.size)
-            if any(self._leq[i][j] for i in antichain))
+        s = 0
+        for i in antichain:
+            s |= self._up[i]
+        return frozenset(_bits(s))
 
     def complement_maximals(self, increasing):
         """The antichain I^c_max for an upward-closed I."""
         if not self.is_increasing(increasing):
             raise NotIncreasing(f"{set(increasing)} is not upward closed")
-        return self.maximals(set(range(self.size)) - set(increasing))
+        return _extremes(self._full & ~_mask(increasing), self._up)
 
     # -- enumeration ---------------------------------------------------------
 
@@ -83,32 +94,28 @@ class RootPoset:
         """All antichains (the empty one included), canonically ordered."""
         if self._antichains is None:
             found = []
-            incomp = [[j for j in range(i + 1, self.size)
-                       if not self.comparable(i, j)] for i in range(self.size)]
 
             def extend(current, candidates):
-                found.append(tuple(current))
-                for k, i in enumerate(candidates):
-                    current.append(i)
-                    extend(current, [j for j in candidates[k + 1:]
-                                     if j in incomp_sets[i]])
-                    current.pop()
+                found.append(current)
+                for i in _bits(candidates):
+                    candidates ^= 1 << i  # only later roots may join i
+                    extend(current + (i,),
+                           candidates & ~(self._up[i] | self._down[i]))
 
-            incomp_sets = [set(c) for c in incomp]
-            extend([], list(range(self.size)))
+            extend((), self._full)
             found.sort(key=lambda a: (len(a), a))
             self._antichains = found
         return self._antichains
 
     def maximal_antichains(self):
-        """Antichains maximal under set inclusion."""
+        """Antichains maximal under set inclusion: comparable to every root."""
         out = []
         for a in self.antichains():
-            members = set(a)
-            if all(any(self.comparable(i, j) for j in members)
-                   for i in range(self.size) if i not in members):
-                if a:
-                    out.append(a)
+            reach = 0
+            for i in a:
+                reach |= self._up[i] | self._down[i]
+            if reach == self._full:
+                out.append(a)
         return out
 
     # -- Hasse diagram -------------------------------------------------------
@@ -117,23 +124,13 @@ class RootPoset:
         """Cover edges (i, j, simple) with i covered by j; ``simple`` is True
         when the cover arises from a single simple reflection."""
         if self._hasse is None:
-            n = self.size
-            strict = [[self._leq[i][j] and i != j for j in range(n)]
-                      for i in range(n)]
-            edges = []
             rs = self.system
-            for i in range(n):
-                for j in range(n):
-                    if not strict[i][j]:
-                        continue
-                    if any(strict[i][k] and strict[k][j] for k in range(n)):
-                        continue
-                    simple = False
-                    for s in range(rs.rank):
-                        refl = rs.reflect(s, rs.positives[i].coeffs)
-                        if refl == rs.positives[j].coeffs:
-                            simple = True
-                            break
+            edges = []
+            for i in range(self.size):
+                ci = rs.positives[i].coeffs
+                for j in _extremes(self._up[i] & ~(1 << i), self._down):
+                    cj = rs.positives[j].coeffs
+                    simple = any(rs.reflect(s, ci) == cj for s in range(rs.rank))
                     edges.append((i, j, simple))
             self._hasse = edges
         return self._hasse

@@ -28,6 +28,7 @@ from catalanregions.feasibility import (
     lp_max,
     solve,
 )
+from catalanregions.rootposet import NotAntichain, NotIncreasing
 from catalanregions.rootsystem import (
     ClosureOverflow,
     Root,
@@ -171,6 +172,116 @@ def brute_force_increasing_sets(poset):
         if poset.is_increasing(members):
             out.add(members)
     return out
+
+
+class RootPosetReference:
+    """Oracle for rootposet.RootPoset: the earlier n x n boolean order.
+
+    It fills ``_leq`` pairwise, scans it in every query, lists incomparable
+    roots for the antichain search and finds the Hasse covers by an O(n^3)
+    transitive reduction.
+    """
+
+    def __init__(self, system):
+        self.system = system
+        n = len(system.positives)
+        self.size = n
+        coeffs = [r.coeffs for r in system.positives]
+        # beta <= gamma iff every simple coefficient of gamma - beta is >= 0
+        self._leq = [
+            [all(sgn(cj - ci) >= 0 for ci, cj in zip(coeffs[i], coeffs[j]))
+             for j in range(n)]
+            for i in range(n)
+        ]
+
+    def leq(self, i, j):
+        return self._leq[i][j]
+
+    def comparable(self, i, j):
+        return self._leq[i][j] or self._leq[j][i]
+
+    def minimals(self, roots):
+        roots = set(roots)
+        return tuple(sorted(
+            i for i in roots
+            if not any(self._leq[j][i] for j in roots if j != i)))
+
+    def maximals(self, roots):
+        roots = set(roots)
+        return tuple(sorted(
+            i for i in roots
+            if not any(self._leq[i][j] for j in roots if j != i)))
+
+    def is_antichain(self, roots):
+        roots = tuple(roots)
+        return all(not self.comparable(a, b)
+                   for k, a in enumerate(roots) for b in roots[k + 1:])
+
+    def is_increasing(self, roots):
+        roots = set(roots)
+        return all(j in roots
+                   for i in roots for j in range(self.size) if self._leq[i][j])
+
+    def ideal(self, antichain):
+        if not self.is_antichain(antichain):
+            raise NotAntichain(f"{antichain} is not an antichain")
+        return frozenset(
+            j for j in range(self.size)
+            if any(self._leq[i][j] for i in antichain))
+
+    def complement_maximals(self, increasing):
+        if not self.is_increasing(increasing):
+            raise NotIncreasing(f"{set(increasing)} is not upward closed")
+        return self.maximals(set(range(self.size)) - set(increasing))
+
+    def antichains(self):
+        found = []
+        incomp = [[j for j in range(i + 1, self.size)
+                   if not self.comparable(i, j)] for i in range(self.size)]
+        incomp_sets = [set(c) for c in incomp]
+
+        def extend(current, candidates):
+            found.append(tuple(current))
+            for k, i in enumerate(candidates):
+                current.append(i)
+                extend(current, [j for j in candidates[k + 1:]
+                                 if j in incomp_sets[i]])
+                current.pop()
+
+        extend([], list(range(self.size)))
+        found.sort(key=lambda a: (len(a), a))
+        return found
+
+    def maximal_antichains(self):
+        out = []
+        for a in self.antichains():
+            members = set(a)
+            if all(any(self.comparable(i, j) for j in members)
+                   for i in range(self.size) if i not in members):
+                if a:
+                    out.append(a)
+        return out
+
+    def hasse(self):
+        n = self.size
+        strict = [[self._leq[i][j] and i != j for j in range(n)]
+                  for i in range(n)]
+        edges = []
+        rs = self.system
+        for i in range(n):
+            for j in range(n):
+                if not strict[i][j]:
+                    continue
+                if any(strict[i][k] and strict[k][j] for k in range(n)):
+                    continue
+                simple = False
+                for s in range(rs.rank):
+                    refl = rs.reflect(s, rs.positives[i].coeffs)
+                    if refl == rs.positives[j].coeffs:
+                        simple = True
+                        break
+                edges.append((i, j, simple))
+        return edges
 
 
 def exact_rank(vectors, zero):

@@ -67,6 +67,16 @@ def test_classify_text_show_empty(capsys):
     assert "regions 10" in out and "bijection holds" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "I2:5", "--show-empty"],
+    ["classify", "I2:5", "--show-empty", "--format", "json"],
+])
+def test_classify_json_show_empty_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--show-empty" in err
+
+
 def test_classify_json_schema(capsys):
     code, out, _ = run(capsys, "classify", "I2:7", "--format", "json")
     assert code == 0
@@ -107,6 +117,50 @@ def test_classify_deterministic(capsys):
         code, out, _ = run(capsys, "classify", spec)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == want, spec
+
+
+# sha256 of `poset --format {dot,json,text}` and `antichains --format json`
+# stdout, captured from the pairwise n x n order before the bitmask rewrite
+POSET_OUTPUT_SHA256 = {
+    "H4": {
+        "dot": "5aa0676366b8c515aa88897b5db2bc1a31389660353f56110a90ce060c4ad096",
+        "json": "5f9a23eb87bfd84dac0db3faeaaac2fa218d91677c25d9d36bf0ea7f521e6bb3",
+        "text": "7f6ba54745deba7ba51491702967efb1dd88669cc00a41367c6ce549d92c452b",
+        "antichains":
+            "06acc8b2b63b783fd1ea4c7af328c424c432e2fbac381c908811d3c0d7f849ae",
+    },
+    "I2:12": {
+        "dot": "4c29be2a9d5921752a316465697c511f1f83fa34f5f001b0e9d87ec8140ff678",
+        "json": "c7df8b348a8cb38e56a0f73ef866549899b196a4341684da3ff12226e850c4d6",
+        "text": "9ba62af3225f01d02cb5136ddfc3422777ce7202817285085d42c5a2eeee7619",
+        "antichains":
+            "4dcd35d7cecc523f2c7de1fe0d773c554c54d08bd255891b18d775649919eaeb",
+    },
+    "I2:100": {
+        "dot": "19b6f891c504d584e66f67cb1f6ef690c548b355cfa45b8bbb3b44b25ce58162",
+        "json": "8ba71a72baa6190483f9c4a8e7f77bcda2bc4ea9ddd0be71eef323f6147cd410",
+        "text": "0e4939b6a3bf075dd8206a5d2ce60c7312477a2bef010dd80a4828be0df6919c",
+        "antichains":
+            "fc05948d8d682fb1e8820ad366fe9d04ae70feb3e173bf82515da41064d0bd11",
+    },
+    "I2:400": {
+        "dot": "025ab58b7cbc43387a199db951951ecc405358ffa6ba96c7b7280e51a9f7ff7f",
+        "json": "f8a3c5e2cd61693945823cd59bab262ac12d1eccd8cd327ed7aeb8e01ee79586",
+        "text": "b84ffae1fb6eac93a564f5e660ea6400c866b746ede7a271bdc46c21d27db106",
+        "antichains":
+            "a0a7ee0a0d69399a4ec7ec8a7e4680ca47e8c6e6f79d08ee4cc8fb3e23c8541b",
+    },
+}
+
+
+@pytest.mark.parametrize("spec", POSET_OUTPUT_SHA256)
+def test_poset_outputs_pinned(capsys, spec):
+    for fmt, want in POSET_OUTPUT_SHA256[spec].items():
+        argv = (["antichains", spec, "--format", "json"] if fmt == "antichains"
+                else ["poset", spec, "--format", fmt])
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want, (spec, fmt)
 
 
 def test_verify_ok(capsys):

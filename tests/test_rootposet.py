@@ -2,10 +2,15 @@ import random
 
 import pytest
 
+from catalanregions.classifier import default_ratio_grid
 from catalanregions.exactfield import sgn
 from catalanregions.rootposet import NotAntichain, NotIncreasing, RootPoset
-from catalanregions.rootsystem import build, evaluate, parse_spec
-from helpers import brute_force_antichains, brute_force_increasing_sets
+from catalanregions.rootsystem import SystemSpec, build, evaluate, parse_spec
+from helpers import (
+    RootPosetReference,
+    brute_force_antichains,
+    brute_force_increasing_sets,
+)
 
 
 def _poset(label):
@@ -164,3 +169,48 @@ def test_h3_restriction_of_h4(h3_poset, h4_poset):
     assert len(sub) == 15
     h3_coeffs = {r.coeffs for r in h3_poset.system.positives}
     assert {r.coeffs[:3] for r in sub} == h3_coeffs
+
+
+ORACLE_SYSTEMS = {
+    "H3": [parse_spec("H3")],
+    "H4": [parse_spec("H4")],
+    "I2:2-60": [parse_spec(f"I2:{m}") for m in range(2, 61)],
+    "I2:400": [parse_spec("I2:400")],
+    "grid6": [SystemSpec("I2", 6, r) for _, r in default_ratio_grid(6)],
+    "grid12": [SystemSpec("I2", 12, r) for _, r in default_ratio_grid(12)],
+}
+
+
+@pytest.mark.parametrize("group", ORACLE_SYSTEMS)
+def test_masks_match_pairwise_oracle(group):
+    for spec in ORACLE_SYSTEMS[group]:
+        rs = build(spec)
+        p, ref = RootPoset(rs), RootPosetReference(rs)
+        n = p.size
+        for i in range(n):
+            for j in range(n):
+                assert p.leq(i, j) == ref.leq(i, j)
+                assert p.comparable(i, j) == ref.comparable(i, j)
+        antichains = p.antichains()
+        assert antichains == ref.antichains()
+        assert p.maximal_antichains() == ref.maximal_antichains()
+        # the oracle's set queries scan pairs of roots: on I2:400 every
+        # fifth antichain (all sizes occur) keeps this test to seconds
+        for a in antichains[::5 if group == "I2:400" else 1]:
+            assert p.is_antichain(a) and ref.is_antichain(a)
+            # a repeated root makes a non-empty antichain fail
+            twice = a + a[:1]
+            assert p.is_antichain(twice) == ref.is_antichain(twice) == (not a)
+            ideal = p.ideal(a)
+            assert ideal == ref.ideal(a)
+            # the ideal, its complement and the ideal without its top root
+            # cover both answers of is_increasing
+            rest = frozenset(range(n)) - ideal
+            for s in (ideal, rest, ideal - {max(ideal, default=0)}):
+                assert p.minimals(s) == ref.minimals(s)
+                assert p.maximals(s) == ref.maximals(s)
+                assert p.is_increasing(s) == ref.is_increasing(s)
+            assert p.complement_maximals(ideal) == ref.complement_maximals(ideal)
+        if group != "I2:400":  # the O(n^3) oracle; the CLI pins cover it
+            assert p.hasse() == ref.hasse()
+

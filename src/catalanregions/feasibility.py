@@ -4,11 +4,13 @@ Int_C(A), the chamber points at level one on an antichain, is decided by
 elimination: row reduction of the equalities, then Fourier-Motzkin over the
 at most rank - 1 null-space parameters, which yields an exact witness or
 the Farkas multipliers of a refutation.  Regions mix many strict rows and
-go through the LP engine, which maximises a uniform slack t (capped at 1):
-the open polyhedron is nonempty iff the optimum t* is positive.  On failure
-the simplex duals give a Farkas certificate; for empty dominant regions a
-second LP searches for the more readable root-order certificate (a convex
-comparison between the two antichains bounding the region).
+go through the LP engine in the chamber coordinates v >= 0 themselves,
+maximising a uniform slack t (capped at 1): the open polyhedron is nonempty
+iff the optimum t* is positive.  On failure the simplex duals give a Farkas
+certificate, once the chamber rows v_i > 0 absorb what they leave on v; for
+empty dominant regions a second LP searches for the more readable root-order
+certificate (a convex comparison between the two antichains bounding the
+region).
 """
 
 from __future__ import annotations
@@ -154,39 +156,21 @@ class FeasibilityResult:
 
 
 def solve(sys, zero, one):
-    """Decide a strict/equality system over an ordered field.
+    """Decide a region system: strict rows in the chamber coordinates v.
 
-    Free variables are split into positive and negative parts; a uniform
-    margin t (capped at 1) is maximised over the strict constraints.
+    The system holds the chamber rows v_i > 0 among its strict_ge rows, so
+    v >= 0 is given and v itself is the LP's nonnegative columns, next to a
+    uniform margin t (capped at 1) maximised over the strict rows.  Raises
+    ValueError on equalities or on a missing chamber row.
     """
+    if sys.equalities:
+        raise ValueError("solve takes strict rows only")
     n = sys.n
-    nv = 2 * n + 1  # p, q, t
-    t_col = 2 * n
-
-    def xrow(a, tcoef):
-        if len(a) != n:
-            raise DimensionMismatch("constraint length != n")
-        return list(a) + [zero - ai for ai in a] + [tcoef]
-
-    rows = []
-    kinds = []
-    for a, b in sys.strict_ge:
-        rows.append(([zero - v for v in xrow(a, zero - one)[:nv - 1]] + [one], zero - b))
-        kinds.append("ge")
-    for a, b in sys.strict_le:
-        rows.append((xrow(a, one), b))
-        kinds.append("le")
-    for a, b in sys.equalities:
-        rows.append((xrow(a, zero), b))
-        kinds.append("eq+")
-        rows.append(([zero - v for v in xrow(a, zero)], zero - b))
-        kinds.append("eq-")
-    rows.append(([zero] * t_col + [one], one))
-    kinds.append("cap")
-
-    objective = [zero] * nv
-    objective[t_col] = one
-    status, x, duals, opt = lp_max(nv, objective, rows, zero, one)
+    chamber = [sys.strict_ge.index(row) for row in _chamber_rows(n, zero, one)]
+    rows = [([zero - c for c in a] + [one], zero - b) for a, b in sys.strict_ge]
+    rows += [(list(a) + [one], b) for a, b in sys.strict_le]
+    rows.append(([zero] * n + [one], one))
+    status, x, duals, opt = lp_max(n + 1, [zero] * n + [one], rows, zero, one)
     if status == "unbounded":  # t is capped, so never reached
         raise RuntimeError("slack LP unbounded")
 
@@ -195,22 +179,15 @@ def solve(sys, zero, one):
         if near_tie(opt):
             return FeasibilityResult("Degenerate")
         if sgn(opt) > 0:
-            witness = tuple(x[i] - x[n + i] for i in range(n))
-            return FeasibilityResult("Feasible", witness=witness)
+            return FeasibilityResult("Feasible", witness=tuple(x[:n]))
 
-    # aggregate with weights lam_ge on (a.x > b), lam_le on (a.x < b) and a
-    # signed mu on each equality cancels x and leaves 0 > c0 >= 0
-    lam_ge, lam_le, mu = [], [], []
-    for kind, y in zip(kinds, duals):
-        if kind == "ge":
-            lam_ge.append(y)
-        elif kind == "le":
-            lam_le.append(y)
-        elif kind == "eq+":
-            mu.append(zero - y)
-        elif kind == "eq-":
-            mu[-1] = mu[-1] + y
-    cert = {"ge": lam_ge, "le": lam_le, "eq": mu}
+    # the duals combine the rows into 0 > c0 >= 0 up to a remainder r >= 0
+    # on v, which the chamber rows v_i > 0 absorb
+    ge = len(sys.strict_ge)
+    lam_ge = duals[:ge]
+    for i, k in enumerate(chamber):
+        lam_ge[k] += sum((y * a[i] for y, (a, _) in zip(duals, rows)), zero)
+    cert = {"ge": lam_ge, "le": duals[ge:-1], "eq": []}
     check_farkas(sys, cert, zero)
     return FeasibilityResult("Infeasible", farkas=cert)
 
@@ -266,9 +243,7 @@ class RegionVerdict:
     method: str = "LP"        # "Propagated" | "LP"
 
 
-def _chamber_rows(rs):
-    zero, one = rs.zero, rs.one
-    n = rs.rank
+def _chamber_rows(n, zero, one):
     return [(tuple(one if j == i else zero for j in range(n)), zero)
             for i in range(n)]
 
@@ -293,7 +268,7 @@ def int_c(poset, antichain):
     sys = LinearSystem(
         n,
         equalities=[(rs.positives[i].coeffs, one) for i in antichain],
-        strict_ge=_chamber_rows(rs),
+        strict_ge=_chamber_rows(n, zero, one),
     )
 
     def refuted(lam, mu):
@@ -398,7 +373,7 @@ def region_system(poset, antichain):
     sys = LinearSystem(
         rs.rank,
         strict_ge=[(rs.positives[i].coeffs, rs.one) for i in antichain]
-        + _chamber_rows(rs),
+        + _chamber_rows(rs.rank, rs.zero, rs.one),
         strict_le=[(rs.positives[i].coeffs, rs.one) for i in icmax],
     )
     return sys, icmax

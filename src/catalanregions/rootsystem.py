@@ -92,7 +92,9 @@ def parse_spec(text):
                 ratio = Q(body)
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in ratio {body!r}") from None
-    return SystemSpec("I2", m, ratio)
+    spec = SystemSpec("I2", m, ratio)
+    _checked_ratio(spec)
+    return spec
 
 
 def _exact_sines(m):
@@ -118,6 +120,16 @@ def _resolve_ratio(spec):
             return sines[k] / sines[l]
         return Approx(mpmath.sin(k * mpmath.pi / m) /
                       mpmath.sin(l * mpmath.pi / m))
+    return r
+
+
+def _checked_ratio(spec):
+    """The resolved ratio of an I2 spec, which must be positive, and 1 for odd m."""
+    r = _resolve_ratio(spec)
+    if spec.m % 2 == 1 and r != 1:
+        raise OddRatioNotOne(f"I2({spec.m}) with odd m requires ratio 1")
+    if sgn(r) <= 0:
+        raise NonPositiveRatio("root-length ratio must be positive")
     return r
 
 
@@ -230,13 +242,7 @@ def _gram_matrix(spec):
         return [tuple(row) for row in g], "tau"
 
     m = spec.m
-    r = _resolve_ratio(spec)
-    if isinstance(r, tuple):
-        raise ValueError("unresolved ratio token")
-    if m % 2 == 1 and r != 1:
-        raise OddRatioNotOne(f"I2({m}) with odd m requires ratio 1")
-    if sgn(r) <= 0:
-        raise NonPositiveRatio("root-length ratio must be positive")
+    r = _checked_ratio(spec)
 
     cos = _cos_pi_over(m)
     if cos is not None and not isinstance(r, Approx):

@@ -15,6 +15,7 @@ from catalanregions.exactfield import (
     TagMismatch,
     _qsign,
     is_zero,
+    near_tie,
     one_like,
     sgn,
     tau,
@@ -23,10 +24,11 @@ from catalanregions.exactfield import (
 from catalanregions.feasibility import (
     DimensionMismatch,
     EmptyAntichain,
+    FeasibilityResult,
     LinearSystem,
     _chamber_rows,
+    check_farkas,
     lp_max,
-    solve,
 )
 from catalanregions.rootposet import NotAntichain, NotIncreasing
 from catalanregions.rootsystem import (
@@ -328,6 +330,68 @@ def bounded_lp(poset, antichain):
     return sgn(opt) == 0
 
 
+def solve_reference(sys, zero, one):
+    """Oracle for feasibility.solve: the general strict/equality slack LP.
+
+    Free variables are split into positive and negative parts; a uniform
+    margin t (capped at 1) is maximised over the strict constraints.
+    """
+    n = sys.n
+    nv = 2 * n + 1  # p, q, t
+    t_col = 2 * n
+
+    def xrow(a, tcoef):
+        if len(a) != n:
+            raise DimensionMismatch("constraint length != n")
+        return list(a) + [zero - ai for ai in a] + [tcoef]
+
+    rows = []
+    kinds = []
+    for a, b in sys.strict_ge:
+        rows.append(([zero - v for v in xrow(a, zero - one)[:nv - 1]] + [one], zero - b))
+        kinds.append("ge")
+    for a, b in sys.strict_le:
+        rows.append((xrow(a, one), b))
+        kinds.append("le")
+    for a, b in sys.equalities:
+        rows.append((xrow(a, zero), b))
+        kinds.append("eq+")
+        rows.append(([zero - v for v in xrow(a, zero)], zero - b))
+        kinds.append("eq-")
+    rows.append(([zero] * t_col + [one], one))
+    kinds.append("cap")
+
+    objective = [zero] * nv
+    objective[t_col] = one
+    status, x, duals, opt = lp_max(nv, objective, rows, zero, one)
+    if status == "unbounded":  # t is capped, so never reached
+        raise RuntimeError("slack LP unbounded")
+
+    # opt is None when even the weak (closed) system is empty
+    if opt is not None:
+        if near_tie(opt):
+            return FeasibilityResult("Degenerate")
+        if sgn(opt) > 0:
+            witness = tuple(x[i] - x[n + i] for i in range(n))
+            return FeasibilityResult("Feasible", witness=witness)
+
+    # aggregate with weights lam_ge on (a.x > b), lam_le on (a.x < b) and a
+    # signed mu on each equality cancels x and leaves 0 > c0 >= 0
+    lam_ge, lam_le, mu = [], [], []
+    for kind, y in zip(kinds, duals):
+        if kind == "ge":
+            lam_ge.append(y)
+        elif kind == "le":
+            lam_le.append(y)
+        elif kind == "eq+":
+            mu.append(zero - y)
+        elif kind == "eq-":
+            mu[-1] = mu[-1] + y
+    cert = {"ge": lam_ge, "le": lam_le, "eq": mu}
+    check_farkas(sys, cert, zero)
+    return FeasibilityResult("Infeasible", farkas=cert)
+
+
 def int_c_lp(poset, antichain):
     """Feasibility of {(v|beta) = 1 for beta in antichain} inside the chamber."""
     if not antichain:
@@ -336,9 +400,9 @@ def int_c_lp(poset, antichain):
     sys = LinearSystem(
         rs.rank,
         equalities=[(rs.positives[i].coeffs, rs.one) for i in antichain],
-        strict_ge=_chamber_rows(rs),
+        strict_ge=_chamber_rows(rs.rank, rs.zero, rs.one),
     )
-    return solve(sys, rs.zero, rs.one)
+    return solve_reference(sys, rs.zero, rs.one)
 
 
 def bijection_lp(poset):

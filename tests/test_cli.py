@@ -202,6 +202,15 @@ def test_catalan_command(capsys):
     assert doc["cat"] == 280 and doc["cat_positive"] == 232
 
 
+@pytest.mark.parametrize("spec", [
+    "I2:5:r=2", "I2:7:r=sin(1)/sin(2)", "I2:6:r=-1", "I2:6:r=0"])
+def test_catalan_rejects_bad_ratio(capsys, spec):
+    # the ratio checks every other subcommand applies at build time
+    for command in ("catalan", "roots"):
+        code, out, err = run(capsys, command, spec)
+        assert code == 2 and out == "" and "ratio" in err
+
+
 def test_sweep_command(capsys):
     code, out, _ = run(capsys, "sweep", "4", "--format", "json")
     assert code == 0

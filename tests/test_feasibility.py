@@ -5,8 +5,9 @@ from itertools import combinations
 import pytest
 
 from catalanregions import feasibility
-from catalanregions.classifier import default_ratio_grid
-from catalanregions.exactfield import Q, is_zero, sgn, tau
+from catalanregions.classifier import classify_all, default_ratio_grid
+from catalanregions.cli import report_to_json
+from catalanregions.exactfield import Q, is_zero, scalar_from_json, sgn, tau
 from catalanregions.feasibility import (
     DimensionMismatch,
     EmptyAntichain,
@@ -25,7 +26,7 @@ from catalanregions.feasibility import (
 )
 from catalanregions.rootposet import RootPoset
 from catalanregions.rootsystem import SystemSpec, build, evaluate, parse_spec
-from helpers import bounded_lp, int_c_lp, lp_max_reference
+from helpers import bounded_lp, int_c_lp, lp_max_reference, solve_reference
 
 ZERO, ONE = Q(0), Q(1)
 
@@ -122,6 +123,35 @@ def test_solve_matches_reference_on_h3_regions(h3_poset, monkeypatch):
     assert got == [solve(sys, rs.zero, rs.one) for sys in systems]
 
 
+SOLVE_SYSTEMS = {
+    "H3": [parse_spec("H3")],
+    "H4": [parse_spec("H4")],
+    "I2:2-40": [parse_spec(f"I2:{m}") for m in range(2, 41)],
+    "I2:100": [parse_spec("I2:100")],
+    "approx": [parse_spec(s) for s in ("I2:8:r=1.3", "I2:12:r=sin(1)/sin(4)")],
+    "sweep6": [SystemSpec("I2", 6, r) for _, r in default_ratio_grid(6)],
+    "sweep12": [SystemSpec("I2", 12, r) for _, r in default_ratio_grid(12)],
+}
+
+
+@pytest.mark.parametrize("group", sorted(SOLVE_SYSTEMS))
+def test_solve_matches_solve_reference(group):
+    # the region LP in chamber coordinates against the free-variable LP
+    infeasible = 0
+    for spec in SOLVE_SYSTEMS[group]:
+        p = RootPoset(build(spec))
+        rs = p.system
+        for a in p.antichains():
+            sys, _ = region_system(p, a)
+            res = solve(sys, rs.zero, rs.one)
+            ref = solve_reference(sys, rs.zero, rs.one)
+            assert (res.status, res.witness) == (ref.status, ref.witness), a
+            if res.status == "Infeasible":
+                assert check_farkas(sys, res.farkas, rs.zero)
+                infeasible += 1
+    assert infeasible == (16 if group == "H4" else 0)
+
+
 def test_solve_feasible_interval():
     sys = LinearSystem(1, strict_ge=[((ONE,), ZERO)], strict_le=[((ONE,), ONE)])
     res = solve(sys, ZERO, ONE)
@@ -138,8 +168,9 @@ def test_solve_infeasible_with_certificate():
 
 
 def test_solve_inconsistent_equalities():
+    # equalities live only in the oracle; solve rejects them
     sys = LinearSystem(1, equalities=[((ONE,), ZERO), ((ONE,), ONE)])
-    res = solve(sys, ZERO, ONE)
+    res = solve_reference(sys, ZERO, ONE)
     assert res.status == "Infeasible"
     assert check_farkas(sys, res.farkas, ZERO)
 
@@ -148,19 +179,31 @@ def test_solve_weakly_feasible_only():
     # x >= 0 and x <= 0 admit only the boundary point, so the open system fails
     sys = LinearSystem(
         1, equalities=[((ONE,), ZERO)], strict_ge=[((ONE,), ZERO)])
-    res = solve(sys, ZERO, ONE)
+    res = solve_reference(sys, ZERO, ONE)
     assert res.status == "Infeasible"
+
+
+def test_solve_rejects_equalities_and_missing_chamber_rows():
+    chamber = _chamber_rows(2, ZERO, ONE)
+    with pytest.raises(ValueError):
+        solve(LinearSystem(2, equalities=[((ONE, ONE), ONE)],
+                           strict_ge=chamber), ZERO, ONE)
+    # without v_2 > 0 the LP's own v >= 0 would be an extra constraint
+    with pytest.raises(ValueError):
+        solve(LinearSystem(2, strict_ge=chamber[:1],
+                           strict_le=[((ONE, ONE), ONE)]), ZERO, ONE)
 
 
 def test_scale_coherence():
     rng = random.Random(3)
+    chamber = _chamber_rows(2, ZERO, ONE)
     for _ in range(50):
         a = (Q(rng.randint(-5, 5)), Q(rng.randint(-5, 5)))
         b = Q(rng.randint(-3, 3))
-        sys1 = LinearSystem(2, strict_ge=[(a, b)],
+        sys1 = LinearSystem(2, strict_ge=[(a, b)] + chamber,
                             strict_le=[((ONE, ONE), Q(4))])
         sys2 = LinearSystem(
-            2, strict_ge=[(tuple(2 * x for x in a), 2 * b)],
+            2, strict_ge=[(tuple(2 * x for x in a), 2 * b)] + chamber,
             strict_le=[((Q(2), Q(2)), Q(8))])
         assert solve(sys1, ZERO, ONE).status == solve(sys2, ZERO, ONE).status
 
@@ -200,7 +243,7 @@ def _int_c_system(poset, antichain):
     return LinearSystem(
         rs.rank,
         equalities=[(rs.positives[i].coeffs, rs.one) for i in antichain],
-        strict_ge=_chamber_rows(rs))
+        strict_ge=_chamber_rows(rs.rank, rs.zero, rs.one))
 
 
 def _assert_int_c_sound(poset, antichain, res):
@@ -328,6 +371,21 @@ def test_order_certificates_on_h4_empties(h4_report, h4_poset):
     for v in empties:
         assert isinstance(v.certificate, OrderCertificate)
         assert check_order_certificate(h4_poset, v.certificate)
+
+
+def test_farkas_fallback_rechecks_from_report(h4_poset, monkeypatch):
+    # without order certificates every H4 empty keeps the region LP's folded
+    # duals, and each re-checks from its report JSON alone
+    monkeypatch.setattr(feasibility, "order_certificate", lambda *args: None)
+    entries = [e for e in report_to_json(classify_all(h4_poset))["antichains"]
+               if "certificate" in e]
+    assert len(entries) == 16
+    for e in entries:
+        assert e["certificate"]["kind"] == "farkas"
+        cert = {key: [scalar_from_json(x) for x in e["certificate"][key]]
+                for key in ("ge", "le", "eq")}
+        sys, _ = region_system(h4_poset, tuple(i - 1 for i in e["members"]))
+        assert check_farkas(sys, cert, h4_poset.system.zero)
 
 
 def test_order_certificate_members_come_from_region(h4_report, h4_poset):

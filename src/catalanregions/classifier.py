@@ -1,13 +1,21 @@
 """Full census of dominant regions: good/bad maximal antichains, propagation
-below good maximal antichains, an LP for every region (propagated or not),
-boundedness, the bijection criterion and the generalized Catalan comparison."""
+below good maximal antichains, an LP for every region no good maximal
+antichain covers, boundedness, the bijection criterion and the generalized
+Catalan comparison.  A propagated region's witness LP runs only when the
+witness is read."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .feasibility import int_c, region_status, witness_sign_type
+from .feasibility import (
+    RegionVerdict,
+    bounded,
+    int_c,
+    region_status,
+    witness_sign_type,
+)
 from .rootposet import RootPoset
 from .rootsystem import build
 
@@ -121,8 +129,8 @@ def classify_all(poset):
     good_count = sum(1 for v in maximal_verdicts if v.good)
 
     # a good maximal antichain M certifies the regions of the increasing
-    # sets I(M) minus any subset of M; record their generating antichains
-    propagated = set()
+    # sets I(M) minus any subset of M; map their generating antichains to them
+    propagated = {}
     for v in maximal_verdicts:
         if not v.good:
             continue
@@ -130,7 +138,8 @@ def classify_all(poset):
         members = list(v.antichain)
         for k in range(len(members) + 1):
             for drop in combinations(members, k):
-                propagated.add(poset.minimals(full - set(drop)))
+                upper = full - set(drop)
+                propagated[poset.minimals(upper)] = upper
 
     degenerate_flags = [
         {"antichain": list(v.antichain), "where": "int_c"}
@@ -139,18 +148,18 @@ def classify_all(poset):
     verdicts = []
     empty_list = []
     for a in antichains:
-        verdict = region_status(poset, a)
-        verdict.method = "Propagated" if a in propagated else "LP"
-        if verdict.status == "NonEmpty":
-            if a in propagated and verdict.witness is None:
-                raise AssertionError("propagated region without witness")
-        elif verdict.status == "Empty":
-            if a in propagated:
-                raise AssertionError(
-                    f"propagation marked {a} nonempty but the LP disagrees")
-            empty_list.append(a)
+        if a in propagated:
+            # its witness LP runs only if someone reads v.witness
+            icmax = poset.complement_maximals(propagated[a])
+            verdict = RegionVerdict(a, "NonEmpty", method="Propagated",
+                                    bounded=bounded(poset, icmax), poset=poset)
         else:
-            degenerate_flags.append({"antichain": list(a), "where": "region"})
+            verdict = region_status(poset, a)
+            if verdict.status == "Empty":
+                empty_list.append(a)
+            elif verdict.status == "Degenerate":
+                degenerate_flags.append(
+                    {"antichain": list(a), "where": "region"})
         verdicts.append(verdict)
 
     by_size = {}

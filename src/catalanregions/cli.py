@@ -20,7 +20,7 @@ from .classifier import (
 )
 from .exactfield import scalar_to_json
 from .feasibility import OrderCertificate
-from .render import RankNotTwo, figure_svg
+from .render import RankNotTwo, figure_svg, require_rank_two
 from .rootposet import RootPoset
 from .rootsystem import _resolve_ratio, build, parse_spec
 
@@ -372,6 +372,7 @@ def _cmd_sweep(args):
 
 def _cmd_figure(args):
     poset = RootPoset(build(parse_spec(args.spec)))
+    require_rank_two(poset.system)  # before the census, which may be long
     report = classify_all(poset)
     svg = figure_svg(poset, report.verdicts)
     _emit(svg + "\n", args.out)

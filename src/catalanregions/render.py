@@ -37,6 +37,12 @@ def _clip_line(a, b, c, lo, hi):
     return uniq[0], uniq[-1]
 
 
+def require_rank_two(system):
+    """Raise RankNotTwo unless the system is one ``figure_svg`` can draw."""
+    if system.rank != 2:
+        raise RankNotTwo("figures are drawn for rank-2 systems only")
+
+
 def figure_svg(poset, verdicts, size=640, margin=50):
     """Draw the lines (v|beta) = -1, 0, 1 and label each nonempty region.
 
@@ -44,8 +50,7 @@ def figure_svg(poset, verdicts, size=640, margin=50):
     1-based, the empty antichain as a lone circle glyph.
     """
     rs = poset.system
-    if rs.rank != 2:
-        raise RankNotTwo("figures are drawn for rank-2 systems only")
+    require_rank_two(rs)
 
     witnesses = []
     for v in verdicts:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import mpmath
 
+from catalanregions.classifier import default_ratio_grid
 from catalanregions.exactfield import (
     _RATIONAL_TYPES,
     Approx,
@@ -35,13 +36,27 @@ from catalanregions.rootsystem import (
     ClosureOverflow,
     Root,
     RootSystem,
+    SystemSpec,
     _coeff_cmp,
     _gram_matrix,
+    parse_spec,
 )
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" \
     / "reference.json"
+
+# region systems the differential tests run against the LP oracles: 112
+# systems, 3039 antichains
+REGION_SPECS = {
+    "H3": [parse_spec("H3")],
+    "H4": [parse_spec("H4")],
+    "I2:2-40": [parse_spec(f"I2:{m}") for m in range(2, 41)],
+    "I2:100": [parse_spec("I2:100")],
+    "approx": [parse_spec(s) for s in ("I2:8:r=1.3", "I2:12:r=sin(1)/sin(4)")],
+    "sweep6": [SystemSpec("I2", 6, r) for _, r in default_ratio_grid(6)],
+    "sweep12": [SystemSpec("I2", 12, r) for _, r in default_ratio_grid(12)],
+}
 
 
 def matches_reference_report(label, data):

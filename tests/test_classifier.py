@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -13,8 +14,14 @@ from catalanregions.classifier import (
     sign_type_consistency,
     sweep_ratio,
 )
-from catalanregions.exactfield import Approx, is_zero, sgn
-from catalanregions.feasibility import region_status
+from catalanregions import cli, feasibility
+from catalanregions.exactfield import Approx, is_zero, scalar_to_json, sgn
+from catalanregions.feasibility import (
+    FeasibilityResult,
+    region_status,
+    region_system,
+    witness_sign_type,
+)
 from catalanregions.rootposet import RootPoset
 from catalanregions.rootsystem import (
     MAX_DIHEDRAL_M,
@@ -24,7 +31,7 @@ from catalanregions.rootsystem import (
     evaluate,
     parse_spec,
 )
-from helpers import bijection_lp, exact_rank
+from helpers import REGION_SPECS, bijection_lp, exact_rank
 
 
 def test_catalan_numbers():
@@ -89,6 +96,73 @@ def test_propagation_soundness(h4_report):
     assert len(propagated) == 401
     for v in rng.sample(propagated, 100):
         assert v.status == "NonEmpty"
+
+
+PROPAGATED = {"H3": 41, "H4": 401, "I2:100": 151, "I2:2-40": 1258,
+              "approx": 30, "sweep12": 996, "sweep6": 134}
+
+
+@pytest.mark.parametrize("group", sorted(REGION_SPECS))
+def test_propagated_verdicts_match_region_lp(group):
+    # propagation decides these regions without an LP; the LP is the oracle
+    seen = 0
+    for spec in REGION_SPECS[group]:
+        p = RootPoset(build(spec))
+        for v in classify_all(p).verdicts:
+            if v.method != "Propagated":
+                continue
+            ref = region_status(p, v.antichain)
+            assert ref.status == "NonEmpty", v.antichain
+            assert ([scalar_to_json(x) for x in v.witness]
+                    == [scalar_to_json(x) for x in ref.witness]), v.antichain
+            assert v.bounded is ref.bounded, v.antichain
+            assert witness_sign_type(p, v.witness) == p.ideal(v.antichain)
+            seen += 1
+    assert seen == PROPAGATED[group]
+
+
+def test_lp_count_only_read_witnesses_solve(monkeypatch):
+    calls = []
+    real = feasibility.lp_max
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(feasibility, "lp_max", counted)
+    sweep_ratio(6)
+    assert len(calls) == 0
+    report = classify_system(parse_spec("H4"))
+    assert len(calls) == 44  # 28 region LPs and 16 order certificates
+    cli.report_to_json(report)
+    assert len(calls) == 445  # plus the 401 propagated witnesses
+    # a witness, once read, is held
+    assert sum(v.witness is not None for v in report.verdicts) == 413
+    cli.report_to_json(report)
+    assert len(calls) == 445
+
+
+def test_refuted_propagated_witness_raises(h4_poset, monkeypatch):
+    report = classify_all(h4_poset)
+    pairs = [v for v in report.verdicts
+             if v.method == "Propagated" and len(v.antichain) == 2]
+    target, other = pairs[0], pairs[1]
+    refuted, _ = region_system(h4_poset, target.antichain)
+    solve = feasibility.solve
+
+    def refute_one(sys, zero, one):
+        if sys == refuted:
+            return FeasibilityResult("Infeasible")
+        return solve(sys, zero, one)
+
+    monkeypatch.setattr(feasibility, "solve", refute_one)
+    with pytest.raises(AssertionError, match=re.escape(str(target.antichain))):
+        target.witness
+    assert witness_sign_type(h4_poset, other.witness) == \
+        h4_poset.ideal(other.antichain)
+    lp = next(v for v in report.verdicts
+              if v.method == "LP" and v.status == "NonEmpty")
+    assert lp.witness is not None
 
 
 def test_survivors(h4_report):

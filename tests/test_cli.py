@@ -8,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from catalanregions import cli
 from catalanregions.classifier import classify_all
 from catalanregions.cli import (
     expectation_for,
@@ -230,9 +231,14 @@ def test_figure_svg_region_count(capsys, tmp_path):
         assert (tmp_path / f"{spec.replace(':', '_')}.dot").exists()
 
 
-def test_figure_rank_mismatch(capsys):
-    code, _, err = run(capsys, "figure", "H3")
-    assert code == 2 and "rank-2" in err
+def test_figure_rank_mismatch(capsys, monkeypatch):
+    def no_census(poset):
+        raise AssertionError("figure ran the census before the rank check")
+
+    monkeypatch.setattr(cli, "classify_all", no_census)
+    for spec in ("H3", "H4"):
+        code, _, err = run(capsys, "figure", spec)
+        assert code == 2 and "rank-2" in err
 
 
 def test_out_file(capsys, tmp_path):

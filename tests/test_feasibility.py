@@ -26,7 +26,13 @@ from catalanregions.feasibility import (
 )
 from catalanregions.rootposet import RootPoset
 from catalanregions.rootsystem import SystemSpec, build, evaluate, parse_spec
-from helpers import bounded_lp, int_c_lp, lp_max_reference, solve_reference
+from helpers import (
+    REGION_SPECS,
+    bounded_lp,
+    int_c_lp,
+    lp_max_reference,
+    solve_reference,
+)
 
 ZERO, ONE = Q(0), Q(1)
 
@@ -123,22 +129,11 @@ def test_solve_matches_reference_on_h3_regions(h3_poset, monkeypatch):
     assert got == [solve(sys, rs.zero, rs.one) for sys in systems]
 
 
-SOLVE_SYSTEMS = {
-    "H3": [parse_spec("H3")],
-    "H4": [parse_spec("H4")],
-    "I2:2-40": [parse_spec(f"I2:{m}") for m in range(2, 41)],
-    "I2:100": [parse_spec("I2:100")],
-    "approx": [parse_spec(s) for s in ("I2:8:r=1.3", "I2:12:r=sin(1)/sin(4)")],
-    "sweep6": [SystemSpec("I2", 6, r) for _, r in default_ratio_grid(6)],
-    "sweep12": [SystemSpec("I2", 12, r) for _, r in default_ratio_grid(12)],
-}
-
-
-@pytest.mark.parametrize("group", sorted(SOLVE_SYSTEMS))
+@pytest.mark.parametrize("group", sorted(REGION_SPECS))
 def test_solve_matches_solve_reference(group):
     # the region LP in chamber coordinates against the free-variable LP
     infeasible = 0
-    for spec in SOLVE_SYSTEMS[group]:
+    for spec in REGION_SPECS[group]:
         p = RootPoset(build(spec))
         rs = p.system
         for a in p.antichains():

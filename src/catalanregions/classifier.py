@@ -233,9 +233,11 @@ def sweep_ratio(m, ratios=None):
 
 
 def default_ratio_grid(m):
-    """Critical ratios sin(k pi/m)/sin(l pi/m) plus midpoints between them."""
+    """Critical ratios sin(k pi/m)/sin(l pi/m), the midpoints between them and
+    one ratio beyond the largest, all in the ratios' own field: exact for
+    m <= 6, Approx above.  Floats only sort and deduplicate them."""
     from .rootsystem import SystemSpec, _resolve_ratio
-    from .exactfield import Approx, as_mpf
+    from .exactfield import as_mpf
 
     crit = {}
     for k in range(1, m // 2 + 1):
@@ -247,11 +249,9 @@ def default_ratio_grid(m):
     for idx, (label, r) in enumerate(ordered):
         if idx:
             _, prev_r = ordered[idx - 1]
-            mid = (as_mpf(prev_r) + as_mpf(r)) / 2
-            grid.append((f"midpoint_{idx}", Approx(mid)))
+            grid.append((f"midpoint_{idx}", (prev_r + r) / 2))
         grid.append((label, r))
-    last = as_mpf(ordered[-1][1])
-    grid.append(("beyond_max", Approx(last + 1)))
+    grid.append(("beyond_max", ordered[-1][1] + 1))
     return grid
 
 

@@ -450,7 +450,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, RankNotTwo) as exc:
+    except (ValueError, RankNotTwo, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

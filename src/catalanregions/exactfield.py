@@ -353,7 +353,7 @@ class Approx:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if abs(o.v) < Approx.epsilon:
+        if not o:
             raise DivByZero("division by (numerically) zero")
         return _approx(self.v / o.v)
 
@@ -381,7 +381,7 @@ class Approx:
             return False
         if o is None:
             return NotImplemented
-        return abs(self.v - o.v) < Approx.epsilon
+        return not (self - o)
 
     def __lt__(self, other):
         return (self - other).sign() < 0

@@ -418,7 +418,12 @@ def region_status(poset, antichain):
     else:
         verdict.status = "Empty"
         cert = order_certificate(poset, tuple(antichain), icmax)
-        verdict.certificate = cert if cert is not None else res.farkas
+        if cert is None:
+            cert = res.farkas
+        elif not check_order_certificate(poset, cert):
+            raise AssertionError(
+                f"order certificate of {tuple(antichain)} does not check")
+        verdict.certificate = cert
     return verdict
 
 

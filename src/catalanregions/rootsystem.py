@@ -16,7 +16,8 @@ import mpmath
 from .exactfield import (
     Approx,
     Q,
-    QuadExt,
+    TagMismatch,
+    as_mpf,
     field_tag,
     is_zero,
     one_like,
@@ -97,30 +98,29 @@ def parse_spec(text):
     return spec
 
 
-def _exact_sines(m):
-    """sin(k*pi/m) for 1 <= k <= m/2 in a single quadratic field, if one exists."""
-    if m == 4:
-        return {1: sqrt2(0, Q(1, 2)), 2: sqrt2(1, 0)}
-    if m == 6:
-        return {1: sqrt3(Q(1, 2), 0), 2: sqrt3(0, Q(1, 2)), 3: sqrt3(1, 0)}
-    return None
-
-
 def _resolve_ratio(spec):
     """Turn the ratio field into a concrete scalar (exact when the field allows)."""
     r = spec.ratio
     if isinstance(r, tuple):
-        # sin(k pi/m) = sin((m - k) pi/m), so only k <= m/2 needs a table
+        # sin(k pi/m) = sin((m - k) pi/m), and sin(k pi/m) = U_{k-1}(c) sin(pi/m)
+        # for c = cos(pi/m), so the ratio lies in the field of c
         m = spec.m
         k, l = min(r[1], m - r[1]), min(r[2], m - r[2])
         if k == l:
             return Q(1)
-        sines = _exact_sines(m)
-        if sines is not None:
-            return sines[k] / sines[l]
-        return Approx(mpmath.sin(k * mpmath.pi / m) /
-                      mpmath.sin(l * mpmath.pi / m))
+        c = _cos_pi_over(m)
+        if c is None:
+            c = Approx(mpmath.cos(mpmath.pi / m))
+        return _chebyshev_u(k - 1, c) / _chebyshev_u(l - 1, c)
     return r
+
+
+def _chebyshev_u(n, c):
+    """U_n(c): U_0 = 1, U_1 = 2c, U_{j+1} = 2c U_j - U_{j-1}."""
+    prev, cur = 0, 1
+    for _ in range(n):
+        prev, cur = cur, 2 * c * cur - prev
+    return cur
 
 
 def _checked_ratio(spec):
@@ -243,29 +243,20 @@ def _gram_matrix(spec):
 
     m = spec.m
     r = _checked_ratio(spec)
-
-    cos = _cos_pi_over(m)
-    if cos is not None and not isinstance(r, Approx):
-        if isinstance(r, QuadExt) and isinstance(cos, QuadExt) and r.rel != cos.rel:
-            cos = None  # incompatible quadratic fields -> approx backend
-        if cos is not None:
-            if isinstance(cos, QuadExt):
-                one = one_like(cos)
-            elif isinstance(r, QuadExt):
-                one = one_like(r)
-            else:
-                one = Q(1)
-            rr = one * r
-            cc = one * cos
-            off = -(rr * cc)
-            return [(one, off), (off, rr * rr)], field_tag(one)
-
-    ra = r if isinstance(r, Approx) else Approx(r) if not isinstance(r, QuadExt) \
-        else Approx(r.mpf())
-    ca = Approx(mpmath.cos(mpmath.pi / m))
-    one = Approx(1)
-    off = -(ra * ca)
-    return [(one, off), (off, ra * ra)], "approx"
+    c = _cos_pi_over(m)
+    # the entries live in the field of r*c; Approx when there is none
+    one = None
+    if c is not None and not isinstance(r, Approx):
+        try:
+            one = one_like(r * c)
+        except TagMismatch:
+            pass
+    if one is None:
+        one = Approx(1)
+        r, c = Approx(as_mpf(r)), Approx(mpmath.cos(mpmath.pi / m))
+    r, c = one * r, one * c
+    off = -(r * c)
+    return [(one, off), (off, r * r)], field_tag(one)
 
 
 def build(spec):
@@ -279,12 +270,9 @@ def build(spec):
     positive roots a tree, so each is reached once and no negative root is.
     """
     gram, field = _gram_matrix(spec)
-    n = len(gram)
-    zero = zero_like(gram[0][0])
-    one = one_like(gram[0][0])
-    expected = {"H3": 15, "H4": 60}.get(spec.family, spec.m)
-
     rs = RootSystem(spec, gram, (), field)
+    n, zero, one = rs.rank, rs.zero, rs.one
+    expected = {"H3": 15, "H4": 60}.get(spec.family, spec.m)
 
     def signs(coeffs):
         """sgn((coeffs|alpha_i)) for each simple index i."""

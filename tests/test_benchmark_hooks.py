@@ -39,16 +39,16 @@ def test_tracer_hooks_h3_census():
     assert metrics["exactfield.quad_ops"][0] > 0
 
 
-def test_tracer_hooks_i2_6_sweep():
-    """The sweep midpoints run on Approx, so its patched methods are hit."""
+def test_tracer_hooks_i2_12_sweep():
+    """The I2(12) sweep runs on Approx, so its patched methods are hit."""
     prog = run.load_program(str(ROOT))
     tracer = spans.Tracer(prog)
     tracer.install()
     try:
-        rows = prog.classifier.sweep_ratio(6)
+        rows = prog.classifier.sweep_ratio(12)
     finally:
         tracer.uninstall()
-    want = run.load_reference()["sweeps"]["6"]
+    want = run.load_reference()["sweeps"]["12"]
     assert len(rows) == len(want)
     for got, ref in zip(rows, want):
         assert all(got[k] == ref[k] for k in run.ROW_KEYS), ref["ratio"]

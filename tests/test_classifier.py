@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from collections import Counter
@@ -31,7 +32,7 @@ from catalanregions.rootsystem import (
     evaluate,
     parse_spec,
 )
-from helpers import REGION_SPECS, bijection_lp, exact_rank
+from helpers import REFERENCE, REGION_SPECS, bijection_lp, exact_rank
 
 
 def test_catalan_numbers():
@@ -305,9 +306,24 @@ def test_default_grid_sorted():
     assert values[0] > 0
 
 
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_default_grid_exact_up_to_six(m):
+    # midpoints and beyond_max stay in the field of the critical ratios
+    assert not any(isinstance(r, Approx) for _, r in default_ratio_grid(m))
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_exact_sweep_rows_match_reference(m):
+    keys = ("ratio", "region_count", "bounded_count", "degenerate")
+    want = json.loads(REFERENCE.read_text())["sweeps"][str(m)]
+    got = sweep_ratio(m)
+    assert [{k: row[k] for k in keys} for row in got] == \
+        [{k: row[k] for k in keys} for row in want]
+
+
 def test_classify_all_approx_backend_matches_exact():
     exact = classify_all(RootPoset(build(parse_spec("I2:6"))))
-    # an Approx ratio puts I2(6) on the Approx backend, as the sweep midpoints do
+    # an Approx ratio puts I2(6) on the Approx backend, as an m >= 7 grid does
     approx = classify_all(RootPoset(build(SystemSpec("I2", 6, Approx(1)))))
     assert exact.region_count == approx.region_count
     assert exact.bounded_count == approx.bounded_count

@@ -249,6 +249,18 @@ def test_out_file(capsys, tmp_path):
     assert doc["counts"]["regions"] == 5
 
 
+def test_unwritable_out_is_usage_error(capsys, tmp_path):
+    missing = tmp_path / "no_such_dir" / "r.json"
+    code, out, err = run(capsys, "classify", "I2:5", "--out", str(missing))
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert not missing.exists()
+    # the SVG is written, but a directory stands where its .dot sidecar goes
+    (tmp_path / "fig.dot").mkdir()
+    code, out, err = run(capsys, "figure", "I2:6", "--out",
+                         str(tmp_path / "fig.svg"))
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 @pytest.mark.parametrize("argv", [
     ["classify", "H3", "--format", "dot"],
     ["classify", "H3", "--format", "svg"],

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -264,7 +265,7 @@ def _int_c_posets(label):
 @pytest.mark.parametrize("label", ["H3", "H4", "I2:5", "I2:7", "I2:8:r=1.3",
                                    "I2:30", "sweep6", "sweep12"])
 def test_int_c_matches_lp_oracle(label):
-    # I2(7), I2(8) at r = 1.3, I2(30) and most sweep systems run on Approx
+    # I2(7), I2(8) at r = 1.3, I2(30) and the I2(12) sweep run on Approx
     statuses = Counter()
     for p in _int_c_posets(label):
         for a in p.antichains():
@@ -381,6 +382,17 @@ def test_farkas_fallback_rechecks_from_report(h4_poset, monkeypatch):
                 for key in ("ge", "le", "eq")}
         sys, _ = region_system(h4_poset, tuple(i - 1 for i in e["members"]))
         assert check_farkas(sys, cert, h4_poset.system.zero)
+
+
+def test_region_status_rechecks_order_certificate(h4_report, h4_poset,
+                                                  monkeypatch):
+    empty = next(v.antichain for v in h4_report.verdicts if v.status == "Empty")
+    # two distinct minimal roots: neither dominates the other
+    bogus = OrderCertificate(lower=[(0, ONE)], upper=[(1, ONE)])
+    monkeypatch.setattr(feasibility, "order_certificate",
+                        lambda *args: bogus)
+    with pytest.raises(AssertionError, match=re.escape(str(empty))):
+        region_status(h4_poset, empty)
 
 
 def test_order_certificate_members_come_from_region(h4_report, h4_poset):

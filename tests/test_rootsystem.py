@@ -1,8 +1,18 @@
+import mpmath
 import pytest
 
 from catalanregions import rootsystem
 from catalanregions.classifier import default_ratio_grid
-from catalanregions.exactfield import Q, is_zero, sgn, sqrt2, sqrt3, tau
+from catalanregions.exactfield import (
+    Approx,
+    Q,
+    as_mpf,
+    is_zero,
+    sgn,
+    sqrt2,
+    sqrt3,
+    tau,
+)
 from catalanregions.rootsystem import (
     MAX_DIHEDRAL_M,
     ClosureOverflow,
@@ -31,7 +41,9 @@ def test_build_matches_closure_oracle():
     specs = [parse_spec(label) for label in labels]
     specs += [SystemSpec("I2", m, r)
               for m in (6, 12) for _, r in default_ratio_grid(m)]
-    assert any(build(s).field == "approx" for s in specs if s.m == 6)
+    # the I2(6) grid is exact in sqrt(3); an Approx ratio keeps Approx covered
+    specs.append(SystemSpec("I2", 6, Approx(1)))
+    assert build(specs[-1]).field == "approx"
     for spec in specs:
         got = build(spec).positives
         want = positive_roots_by_closure(spec)
@@ -75,6 +87,18 @@ def test_backend_selection():
         assert _resolve_ratio(parse_spec(label)) == 1
     assert _resolve_ratio(parse_spec("I2:4:r=sin(3)/sin(2)")) == sqrt2(0, Q(1, 2))
     assert _resolve_ratio(parse_spec("I2:4:r=sin(2)/sin(1)")) == sqrt2()
+
+
+@pytest.mark.parametrize("m", [4, 6, 12])
+def test_sine_ratios_from_cosine(m):
+    """U_{k-1}(c)/U_{l-1}(c) at c = cos(pi/m) is sin(k pi/m)/sin(l pi/m),
+    exact wherever cos(pi/m) is."""
+    for k in range(1, m):
+        for l in range(1, m):
+            r = _resolve_ratio(SystemSpec("I2", m, ("sin", k, l)))
+            assert m > 6 or not isinstance(r, Approx), (k, l)
+            want = mpmath.sin(k * mpmath.pi / m) / mpmath.sin(l * mpmath.pi / m)
+            assert abs(as_mpf(r) - want) < mpmath.mpf("1e-50"), (k, l)
 
 
 def test_parse_spec_grammar():

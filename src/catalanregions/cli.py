@@ -374,11 +374,15 @@ def _cmd_figure(args):
     poset = RootPoset(build(parse_spec(args.spec)))
     require_rank_two(poset.system)  # before the census, which may be long
     report = classify_all(poset)
-    svg = figure_svg(poset, report.verdicts)
-    _emit(svg + "\n", args.out)
-    if args.out and args.out.endswith(".svg"):
-        with open(args.out[:-4] + ".dot", "w") as fh:
-            fh.write(poset.to_dot() + "\n")
+    svg = figure_svg(poset, report.verdicts) + "\n"
+    if not (args.out and args.out.endswith(".svg")):
+        _emit(svg, args.out)
+        return 0
+    # open both files, the .dot sidecar first, before writing either, so
+    # that a sidecar that cannot be written leaves no SVG behind
+    with open(args.out[:-4] + ".dot", "w") as dot, open(args.out, "w") as fh:
+        fh.write(svg)
+        dot.write(poset.to_dot() + "\n")
     return 0
 
 

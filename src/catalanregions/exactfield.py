@@ -61,6 +61,23 @@ def _qsign(r):
     return (r > 0) - (r < 0)
 
 
+def quad_sign(x, y, p, q):
+    """Sign of ``x + y*rho`` for ints x, y, where rho > 0 and rho**2 = p*rho + q.
+
+    x + y*rho = (2x + p*y + y*sqrt(D)) / 2 with D = p^2 + 4q; with y == 0
+    this is the sign of x, so it also serves rationals (p = q = 0).
+    """
+    big_a = 2 * x + p * y
+    if y == 0:
+        return _qsign(big_a)
+    if big_a == 0:
+        return _qsign(y)
+    sa, sb = _qsign(big_a), _qsign(y)
+    if sa == sb:
+        return sa
+    return sa * _qsign(big_a * big_a - (p * p + 4 * q) * y * y)
+
+
 def _parts(c):
     """Numerator and denominator of an int or Fraction component."""
     if isinstance(c, int):
@@ -217,19 +234,8 @@ class QuadExt:
 
     def sign(self):
         # (x + y*rho)/d with d > 0 has the sign of x + y*rho
-        # = (2x + p*y + y*sqrt(D)) / 2 with D = p^2 + 4q.
         p, q, _ = self.rel
-        y = self.y
-        big_a = 2 * self.x + p * y
-        if y == 0:
-            return _qsign(big_a)
-        if big_a == 0:
-            return _qsign(y)
-        sa, sb = _qsign(big_a), _qsign(y)
-        if sa == sb:
-            return sa
-        cmp = _qsign(big_a * big_a - (p * p + 4 * q) * y * y)
-        return sa * cmp
+        return quad_sign(self.x, self.y, p, q)
 
     def __eq__(self, other):
         try:

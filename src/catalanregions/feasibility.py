@@ -12,6 +12,13 @@ empty dominant regions a second LP searches for the more readable root-order
 certificate (a convex comparison between the two antichains bounding the
 region).
 
+On an exact field the simplex tableau holds ints, not scalars: a row is
+integer numerators X, Y over one positive row denominator D, entry j being
+(X[j] + Y[j]*rho)/D with rho**2 = p*rho + q (p = q = 0 and Y = 0 for
+rationals).  Pivots multiply by conjugates over norms, signs use the
+quadratic sign rule that ``QuadExt.sign`` uses, and only the results become
+scalars.  Approx rows stay lists of scalars; one Bland driver runs both.
+
 The census solves a region LP only for the antichains that no good maximal
 antichain covers: on H4, 28 decision LPs and 16 certificates.  A propagated
 verdict solves its witness LP on the first read of ``witness``, so H4's 401
@@ -22,9 +29,20 @@ I2(12) ratio sweeps, which read counts only, solve none.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
-from .exactfield import is_zero, near_tie, sgn
+from .exactfield import (
+    Approx,
+    QuadExt,
+    TagMismatch,
+    _reduce,
+    is_zero,
+    near_tie,
+    quad_sign,
+    sgn,
+)
 from .rootsystem import evaluate
 
 
@@ -50,6 +68,10 @@ def lp_max(n, objective, rows, zero, one):
     duals are the phase-1 duals, a Farkas combination (lambda >= 0,
     lambda^T A >= 0, lambda^T b < 0), and x and optimum are None.  All three
     are None when the LP is unbounded.
+
+    Exact fields pivot on integer rows (``_IntRows``), Approx on scalar rows
+    (``_ScalarRows``); both take the same pivots, so the results are the
+    canonical scalars a scalar tableau would reach.
     """
     m = len(rows)
     for coeffs, _ in rows:
@@ -61,33 +83,127 @@ def lp_max(n, objective, rows, zero, one):
     flipped = [sgn(rhs) < 0 for _, rhs in rows]
     arts = set(range(n + m, n + m + sum(flipped)))
     total = n + m + len(arts)
-    tab, basis = [], []
+    storage = _ScalarRows if isinstance(zero, Approx) else _IntRows
+    tab = storage(zero, one, total)
+    basis = []
     art = n + m
     for i, ((coeffs, rhs), neg) in enumerate(zip(rows, flipped)):
-        row = [zero] * (total + 1)
         if neg:
-            row[:n] = [-c for c in coeffs]
-            row[n + i], row[art], row[total] = -one, one, -rhs
+            tab.append(coeffs, rhs, -1, {n + i: -1, art: 1})
             basis.append(art)
             art += 1
         else:
-            row[:n] = coeffs
-            row[n + i], row[total] = one, rhs
+            tab.append(coeffs, rhs, 1, {n + i: 1})
             basis.append(n + i)
-        tab.append(row)
     # objective rows hold the reduced costs of the current basis.  No
     # starting basic column has a phase-2 cost; phase 1 maximises
     # -sum(artificials), which prices out as the sum of the flipped rows.
-    tab.append(list(objective) + [zero] * (total + 1 - n))
+    tab.append(objective, zero, 1, {})
     if arts:
-        flips = [row for row, neg in zip(tab, flipped) if neg]
-        phase1 = [sum((row[j] for row in flips), zero) for j in range(total + 1)]
-        for a in arts:
-            phase1[a] = zero
-        tab.append(phase1)
+        tab.append_sum([i for i, neg in enumerate(flipped) if neg], arts)
+    in_basis = set(basis)
 
     def pivot(r, c):
-        inv = one / tab[r][c]
+        tab.pivot(r, c)
+        in_basis.discard(basis[r])
+        in_basis.add(c)
+        basis[r] = c
+
+    def run_phase(banned):
+        # maximise the objective in the last row; False when unbounded
+        rows, sign = tab.rows, tab.sign
+        while True:
+            red = rows[-1]
+            enter = next((j for j in range(total) if j not in banned
+                          and j not in in_basis and sign(red, j) > 0), -1)
+            if enter < 0:
+                return True
+            # smallest ratio; a tie leaves on the smallest basic column
+            leave = best = None
+            for i in range(m):
+                if sign(rows[i], enter) <= 0:
+                    continue
+                ratio = tab.ratio(rows[i], enter)
+                if leave is not None:
+                    s = tab.compare(ratio, best)
+                    if s > 0 or (s == 0 and basis[i] > basis[leave]):
+                        continue
+                leave, best = i, ratio
+            if leave is None:
+                return False
+            pivot(leave, enter)
+
+    if arts:
+        run_phase(banned=())
+        phase1 = tab.rows.pop()
+        if tab.sign(phase1, total):
+            # the phase-1 optimum leaves sum(artificials) > 0: even the weak
+            # system is empty, and the phase-1 duals certify it
+            duals = [zero - tab.value(phase1, n + i) for i in range(m)]
+            return "infeasible", None, duals, None
+        # drive remaining zero-valued artificials out of the basis
+        for i in range(m):
+            if basis[i] in arts:
+                for j in range(total):
+                    if j not in arts and tab.sign(tab.rows[i], j):
+                        pivot(i, j)
+                        break
+
+    if not run_phase(banned=arts):
+        return "unbounded", None, None, None
+    red = tab.rows[-1]
+    x = [zero] * n
+    for i, bi in enumerate(basis):
+        if bi < n:
+            x[bi] = tab.value(tab.rows[i], total)
+    # multiplier on row i (as given) is -reduced_cost(slack_i), for flipped
+    # rows included: the slack column carries the flip sign already
+    duals = [zero - tab.value(red, n + i) for i in range(m)]
+    opt = sum((cj * x[j] for j, cj in enumerate(objective)), zero)
+    return "optimal", x, duals, opt
+
+
+class _ScalarRows:
+    """Tableau rows as lists of scalars, for the Approx backend."""
+
+    def __init__(self, zero, one, total):
+        self.zero, self.one, self.total = zero, one, total
+        self.rows = []
+
+    def append(self, coeffs, rhs, s, units):
+        """Row s*(coeffs | rhs) with the unit entries ``units`` (column -> +-1)."""
+        zero, one, total = self.zero, self.one, self.total
+        row = [zero] * (total + 1)
+        row[:len(coeffs)] = coeffs if s > 0 else [-c for c in coeffs]
+        for j, u in units.items():
+            row[j] = one if u > 0 else -one
+        row[total] = rhs if s > 0 else -rhs
+        self.rows.append(row)
+
+    def append_sum(self, indices, zeroed):
+        """The sum of the rows at ``indices``, zero on the ``zeroed`` columns."""
+        zero = self.zero
+        flips = [self.rows[i] for i in indices]
+        row = [sum((r[j] for r in flips), zero) for j in range(self.total + 1)]
+        for j in zeroed:
+            row[j] = zero
+        self.rows.append(row)
+
+    def sign(self, row, j):
+        return sgn(row[j])
+
+    def value(self, row, j):
+        return row[j]
+
+    def ratio(self, row, j):
+        return row[self.total] / row[j]
+
+    def compare(self, a, b):
+        return sgn(a - b)
+
+    def pivot(self, r, c):
+        tab = self.rows
+        inv = self.one / tab[r][c]
         tab[r] = prow = [v * inv for v in tab[r]]
         nonzero = [j for j, v in enumerate(prow) if not is_zero(v)]
         for k, row in enumerate(tab):
@@ -96,51 +212,137 @@ def lp_max(n, objective, rows, zero, one):
                 continue
             for j in nonzero:
                 row[j] -= f * prow[j]
-        basis[r] = c
 
-    def run_phase(banned):
-        # maximise the objective in the last row; False when unbounded
-        red = tab[-1]
-        while True:
-            enter = next((j for j in range(total) if j not in banned
-                          and j not in basis and sgn(red[j]) > 0), -1)
-            if enter < 0:
-                return True
-            # smallest ratio; a tie leaves on the smallest basic column
-            ratios = [(tab[i][total] / tab[i][enter], basis[i], i)
-                      for i in range(m) if sgn(tab[i][enter]) > 0]
-            if not ratios:
-                return False
-            pivot(min(ratios)[2], enter)
 
-    if arts:
-        run_phase(banned=())
-        phase1 = tab.pop()
-        if not is_zero(phase1[total]):
-            # the phase-1 optimum leaves sum(artificials) > 0: even the weak
-            # system is empty, and the phase-1 duals certify it
-            duals = [zero - phase1[n + i] for i in range(m)]
-            return "infeasible", None, duals, None
-        # drive remaining zero-valued artificials out of the basis
-        for i in range(m):
-            if basis[i] in arts:
-                for j in range(total):
-                    if j not in arts and not is_zero(tab[i][j]):
-                        pivot(i, j)
-                        break
+class _IntRows:
+    """Exact tableau rows as ints, for rationals and the quadratic fields.
 
-    if not run_phase(banned=arts):
-        return "unbounded", None, None, None
-    red = tab[-1]
-    x = [zero] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = tab[i][total]
-    # multiplier on row i (as given) is -reduced_cost(slack_i), for flipped
-    # rows included: the slack column carries the flip sign already
-    duals = [zero - red[n + i] for i in range(m)]
-    opt = sum((cj * x[j] for j, cj in enumerate(objective)), zero)
-    return "optimal", x, duals, opt
+    A row is ``[X, Y, D]``: two int lists over one int D > 0, so entry j is
+    (X[j] + Y[j]*rho)/D with rho**2 = p*rho + q from ``zero.rel``; rationals
+    take p = q = 0 and keep Y zero.  Every row whose D is not 1 is kept in
+    lowest terms, gcd(*X, *Y, D) == 1, so D is the least common denominator
+    of the row and entries grow no faster than the values they stand for.
+    """
+
+    def __init__(self, zero, one, total):
+        self.rel = zero.rel if isinstance(zero, QuadExt) else None
+        self.p, self.q = self.rel[:2] if self.rel else (0, 0)
+        self.total = total
+        self.rows = []
+
+    def _parts(self, c):
+        """(x, y, d) of a scalar of this field: c = (x + y*rho)/d."""
+        if isinstance(c, QuadExt) and c.rel == self.rel:
+            return c.x, c.y, c.d
+        if isinstance(c, (int, Fraction)):
+            return c.numerator, 0, c.denominator
+        raise TagMismatch(f"an LP over {self.rel[2] if self.rel else 'Q'} "
+                          f"cannot take {c!r}")
+
+    def append(self, coeffs, rhs, s, units):
+        """Row s*(coeffs | rhs) with the unit entries ``units`` (column -> +-1)."""
+        total = self.total
+        parts = [self._parts(c) for c in coeffs]
+        parts.append(self._parts(rhs))
+        d = lcm(*(pd for _, _, pd in parts))
+        X, Y = [0] * (total + 1), [0] * (total + 1)
+        cols = list(range(len(coeffs))) + [total]
+        for j, (x, y, pd) in zip(cols, parts):
+            f = s * (d // pd)
+            X[j], Y[j] = x * f, y * f
+        for j, u in units.items():
+            X[j] = u * d
+        # each entry was in lowest terms, so the row is too
+        self.rows.append([X, Y, d])
+
+    def append_sum(self, indices, zeroed):
+        """The sum of the rows at ``indices``, zero on the ``zeroed`` columns."""
+        flips = [self.rows[i] for i in indices]
+        d = lcm(*(r[2] for r in flips))
+        X, Y = [0] * (self.total + 1), [0] * (self.total + 1)
+        for rx, ry, rd in flips:
+            f = d // rd
+            X = [a + f * b for a, b in zip(X, rx)]
+            Y = [a + f * b for a, b in zip(Y, ry)]
+        for j in zeroed:
+            X[j] = Y[j] = 0
+        self.rows.append(_lowest(X, Y, d))
+
+    def sign(self, row, j):
+        return quad_sign(row[0][j], row[1][j], self.p, self.q)
+
+    def value(self, row, j):
+        X, Y, d = row
+        if self.rel is None:
+            return Fraction(X[j], d)
+        return _reduce(X[j], Y[j], d, self.rel)
+
+    def ratio(self, row, j):
+        # b/a with the row denominator cancelled, as numerators (bx, by, ax, ay)
+        X, Y, _ = row
+        return X[self.total], Y[self.total], X[j], Y[j]
+
+    def compare(self, u, v):
+        # u = b1/a1 and v = b2/a2 with a1, a2 > 0: the sign of b1*a2 - b2*a1
+        p, q = self.p, self.q
+        b1x, b1y, a1x, a1y = u
+        b2x, b2y, a2x, a2y = v
+        return quad_sign(b1x * a2x + q * b1y * a2y - b2x * a1x - q * b2y * a1y,
+                         b1x * a2y + b1y * a2x + p * b1y * a2y
+                         - b2x * a1y - b2y * a1x - p * b2y * a1y, p, q)
+
+    def pivot(self, r, c):
+        """Divide row r by its entry in column c, then clear column c elsewhere.
+
+        1/P for P = x + y*rho is conj(P)/N(P), with conj(P) = (x + p*y) - y*rho
+        and N(P) = x^2 + p*x*y - q*y^2, so the new pivot row is exact over
+        the denominator |N(P)| and needs no division.  Another row K over
+        D_k with entry F in column c becomes (K*D - F*R)/(D_k*D), for R over
+        D the new pivot row; only R's nonzero columns change beyond the
+        rescaling.
+        """
+        p, q = self.p, self.q
+        rows = self.rows
+        X, Y, _ = rows[r]
+        px, py = X[c], Y[c]
+        if py == 0:  # a rational pivot: divide by px itself
+            if px < 0:
+                X, Y, px = [-v for v in X], [-v for v in Y], -px
+            d = px
+        else:
+            cx, cy = px + p * py, -py
+            d = px * cx - q * py * py
+            if d < 0:
+                cx, cy, d = -cx, -cy, -d
+            qcy, ccy = q * cy, cx + p * cy
+            X, Y = ([x * cx + qcy * y for x, y in zip(X, Y)],
+                    [x * cy + y * ccy for x, y in zip(X, Y)])
+        rows[r] = prow = _lowest(X, Y, d)
+        X, Y, d = prow
+        nonzero = [j for j, (x, y) in enumerate(zip(X, Y)) if x or y]
+        for k, row in enumerate(rows):
+            KX, KY, kd = row
+            fx, fy = KX[c], KY[c]
+            if k == r or not (fx or fy):
+                continue
+            if d != 1:
+                KX, KY, kd = [v * d for v in KX], [v * d for v in KY], kd * d
+            # F*R[j] = (fx*x + q*fy*y) + ((fx + p*fy)*y + fy*x)*rho
+            qfy, gx = q * fy, fx + p * fy
+            for j in nonzero:
+                x, y = X[j], Y[j]
+                KX[j] -= fx * x + qfy * y
+                KY[j] -= gx * y + fy * x
+            rows[k] = _lowest(KX, KY, kd)
+
+
+def _lowest(X, Y, d):
+    """The row [X, Y, d] divided by gcd(*X, *Y, d); no gcd is taken when d is 1."""
+    if d != 1:
+        g = gcd(*X, *Y, d)
+        if g != 1:
+            X, Y, d = [v // g for v in X], [v // g for v in Y], d // g
+    return [X, Y, d]
 
 
 # ---------------------------------------------------------------------------

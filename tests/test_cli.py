@@ -254,11 +254,12 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "classify", "I2:5", "--out", str(missing))
     assert code == 2 and out == "" and err.startswith("error:")
     assert not missing.exists()
-    # the SVG is written, but a directory stands where its .dot sidecar goes
+    # a directory stands where the .dot sidecar goes: no SVG is left either
     (tmp_path / "fig.dot").mkdir()
     code, out, err = run(capsys, "figure", "I2:6", "--out",
                          str(tmp_path / "fig.svg"))
     assert code == 2 and out == "" and err.startswith("error:")
+    assert not (tmp_path / "fig.svg").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,15 @@ import pytest
 from catalanregions import feasibility
 from catalanregions.classifier import classify_all, default_ratio_grid
 from catalanregions.cli import report_to_json
-from catalanregions.exactfield import Q, is_zero, scalar_from_json, sgn, tau
+from catalanregions.exactfield import (
+    Q,
+    is_zero,
+    scalar_from_json,
+    sgn,
+    sqrt2,
+    sqrt3,
+    tau,
+)
 from catalanregions.feasibility import (
     DimensionMismatch,
     EmptyAntichain,
@@ -78,11 +86,23 @@ def random_lp(rng, scalar):
     return n, [scalar() for _ in range(n)], rows
 
 
-# zero, one and a random small scalar of each field
+def _fraction(rng):
+    return Q(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+# zero, one and a random small scalar of each field.  sqrt2 and sqrt3 have
+# p = 0 in rho**2 = p*rho + q; "tau_fractions" has denominators, so the
+# integer rows carry a row denominator other than 1
 FIELDS = {
     "rational": (Q(0), Q(1), lambda rng: Q(rng.randint(-3, 3))),
     "tau": (tau(0, 0), tau(1, 0),
             lambda rng: tau(rng.randint(-2, 2), rng.randint(-2, 2))),
+    "sqrt2": (sqrt2(0, 0), sqrt2(1, 0),
+              lambda rng: sqrt2(rng.randint(-2, 2), rng.randint(-2, 2))),
+    "sqrt3": (sqrt3(0, 0), sqrt3(1, 0),
+              lambda rng: sqrt3(rng.randint(-2, 2), rng.randint(-2, 2))),
+    "tau_fractions": (tau(0, 0), tau(1, 0),
+                      lambda rng: tau(_fraction(rng), _fraction(rng))),
 }
 
 
@@ -101,6 +121,42 @@ def test_lp_max_matches_reference(name):
     # every exit of the simplex, and phase 1, is exercised many times
     assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) > 50
     assert flipped > 300
+
+
+def test_lp_max_long_pivot_runs(monkeypatch):
+    # feasible LPs up to 6 columns and 12 rows with fractional tau entries,
+    # some of which take 15 pivots or more: the integer rows must stay exact
+    # while common factors build up and are divided out over many pivots
+    rng = random.Random(5)
+    zero, one = tau(0, 0), tau(1, 0)
+
+    def scalar(low=-4):
+        return tau(Q(rng.randint(low, 4), rng.randint(1, 3)),
+                   Q(rng.randint(low, 4), rng.randint(1, 3)))
+
+    pivots = []
+    real = feasibility._IntRows.pivot
+
+    def counted(self, r, c):
+        pivots[-1] += 1
+        return real(self, r, c)
+
+    monkeypatch.setattr(feasibility._IntRows, "pivot", counted)
+    for _ in range(30):
+        n = rng.randint(4, 6)
+        m = rng.randint(n + 4, 12)
+        # every row holds at a nonnegative point x0, with a slack >= 0
+        x0 = [scalar(0) for _ in range(n)]
+        rows = []
+        for _ in range(m):
+            coeffs = [scalar() for _ in range(n)]
+            rhs = sum((c * x for c, x in zip(coeffs, x0)), zero) + scalar(0)
+            rows.append((coeffs, rhs))
+        objective = [scalar() for _ in range(n)]
+        pivots.append(0)
+        got = lp_max(n, objective, rows, zero, one)
+        assert got == lp_max_reference(n, objective, rows, zero, one), rows
+    assert max(pivots) >= 15
 
 
 def test_lp_max_tied_ratio():

@@ -6,8 +6,10 @@ witness is read."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import prod
 
 from .feasibility import (
     RegionVerdict,
@@ -17,7 +19,8 @@ from .feasibility import (
     witness_sign_type,
 )
 from .rootposet import RootPoset
-from .rootsystem import build
+from .rootsystem import (DIHEDRAL, MAX_DIHEDRAL_M, OddRatioNotOne, SystemSpec,
+                         _resolve_ratio, build, coxeter_type)
 
 
 @dataclass
@@ -37,27 +40,15 @@ class GeneralizedCatalan:
 
 
 def catalan_numbers(family, m=None):
-    """Generalized Catalan numbers from the exponents and Coxeter number."""
-    if family == "H3":
-        exps, h = [1, 5, 9], 10
-    elif family == "H4":
-        exps, h = [1, 11, 19, 29], 30
-    elif family == "I2":
-        if m is None or m < 2:
-            raise ValueError("I2 needs m >= 2")
-        exps, h = [1, m - 1], m
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    num = den = 1
-    pnum = pden = 1
-    for e in exps:
-        num *= h + e + 1
-        den *= e + 1
-        pnum *= h + e - 1
-        pden *= e + 1
-    if num % den or pnum % pden:
+    """Generalized Catalan numbers from the exponents and Coxeter number of
+    the family's row in the Coxeter table."""
+    exps = list(coxeter_type(SystemSpec(family, m)).exponents)
+    h = max(exps) + 1
+    den = prod(e + 1 for e in exps)
+    num, pnum = prod(h + e + 1 for e in exps), prod(h + e - 1 for e in exps)
+    if num % den or pnum % den:
         raise ArithmeticError("Catalan products did not come out integral")
-    return GeneralizedCatalan(exps, h, num // den, pnum // pden)
+    return GeneralizedCatalan(exps, h, num // den, pnum // den)
 
 
 @dataclass
@@ -162,9 +153,7 @@ def classify_all(poset):
                     {"antichain": list(a), "where": "region"})
         verdicts.append(verdict)
 
-    by_size = {}
-    for a in antichains:
-        by_size[len(a)] = by_size.get(len(a), 0) + 1
+    by_size = dict(Counter(len(a) for a in antichains))
 
     region_count = sum(1 for v in verdicts if v.status == "NonEmpty")
     bounded_count = sum(1 for v in verdicts if v.status == "NonEmpty" and v.bounded)
@@ -203,13 +192,11 @@ def classify_system(spec):
 
 
 def sweep_ratio(m, ratios=None):
-    """Classify I2(m) (even m) across a grid of root-length ratios.
+    """Classify the dihedral system of even m across a grid of root-length ratios.
 
     Returns one row per ratio with counts and a degeneracy marker; rows where
     the region count changes against the previous ratio are flagged.
     """
-    from .rootsystem import MAX_DIHEDRAL_M, OddRatioNotOne, SystemSpec
-
     if not 2 <= m <= MAX_DIHEDRAL_M:
         raise ValueError(f"ratio sweeps need 2 <= m <= {MAX_DIHEDRAL_M}")
     if m % 2:
@@ -219,7 +206,7 @@ def sweep_ratio(m, ratios=None):
     rows = []
     prev = None
     for label, ratio in ratios:
-        report = classify_system(SystemSpec("I2", m, ratio))
+        report = classify_system(SystemSpec(DIHEDRAL, m, ratio))
         row = {
             "ratio": label,
             "region_count": report.region_count,
@@ -236,13 +223,12 @@ def default_ratio_grid(m):
     """Critical ratios sin(k pi/m)/sin(l pi/m), the midpoints between them and
     one ratio beyond the largest, all in the ratios' own field: exact for
     m <= 6, Approx above.  Floats only sort and deduplicate them."""
-    from .rootsystem import SystemSpec, _resolve_ratio
     from .exactfield import as_mpf
 
     crit = {}
     for k in range(1, m // 2 + 1):
         for l in range(1, m // 2 + 1):
-            r = _resolve_ratio(SystemSpec("I2", m, ("sin", k, l)))
+            r = _resolve_ratio(SystemSpec(DIHEDRAL, m, ("sin", k, l)))
             crit[float(as_mpf(r))] = (f"sin({k})/sin({l})", r)
     ordered = [crit[v] for v in sorted(crit)]
     grid = []

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from .exactfield import scalar_to_json
 from .feasibility import OrderCertificate
 from .render import RankNotTwo, figure_svg, require_rank_two
 from .rootposet import RootPoset
-from .rootsystem import _resolve_ratio, build, parse_spec
+from .rootsystem import COXETER_TYPES, _resolve_ratio, build, parse_spec
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +127,7 @@ def report_schema():
                 "type": "object",
                 "properties": {
                     "label": {"type": "string"},
-                    "family": {"enum": ["H3", "H4", "I2"]},
+                    "family": {"enum": sorted(COXETER_TYPES)},
                     "m": {"type": ["integer", "null"]},
                 },
                 "required": ["label", "family"],
@@ -378,11 +379,15 @@ def _cmd_figure(args):
     if not (args.out and args.out.endswith(".svg")):
         _emit(svg, args.out)
         return 0
-    # open both files, the .dot sidecar first, before writing either, so
-    # that a sidecar that cannot be written leaves no SVG behind
-    with open(args.out[:-4] + ".dot", "w") as dot, open(args.out, "w") as fh:
-        fh.write(svg)
-        dot.write(poset.to_dot() + "\n")
+    # the .dot sidecar first: one that cannot be written leaves no SVG
+    # behind, and an SVG that cannot be written takes the sidecar with it
+    dot = args.out[:-4] + ".dot"
+    _emit(poset.to_dot() + "\n", dot)
+    try:
+        _emit(svg, args.out)
+    except OSError:
+        os.remove(dot)
+        raise
     return 0
 
 

@@ -704,8 +704,12 @@ def bounded(poset, icmax):
 
 
 def witness_sign_type(poset, witness):
-    """Increasing set read off a chamber point: roots with (v|beta) > 1."""
+    """Increasing set read off a point of an open region: roots with (v|beta) > 1.
+
+    None unless every v_i > 0 and no (v|beta) is 1: a point off its region
+    never reads back the region's ideal."""
     rs = poset.system
-    return frozenset(
-        i for i, r in enumerate(rs.positives)
-        if sgn(evaluate(witness, r) - rs.one) > 0)
+    signs = [sgn(evaluate(witness, r) - rs.one) for r in rs.positives]
+    if 0 in signs or any(sgn(x) <= 0 for x in witness):
+        return None
+    return frozenset(i for i, s in enumerate(signs) if s > 0)

@@ -1,5 +1,9 @@
-"""Root system construction for H3, H4 and the dihedral family I2(m).
+"""Root systems built from one table of Coxeter data.
 
+Each family of the census is a row of ``COXETER_TYPES``: the labels m_ij of
+its Coxeter diagram, the lengths l_i of its simple roots and its exponents.
+The Gram matrix is g_ii = l_i^2 and g_ij = -l_i l_j cos(pi/m_ij); the number
+of positive roots is rank * h / 2, with h the largest exponent plus one.
 Everything is expressed in simple-root coordinates; a point of the dominant
 chamber is a vector of fundamental-weight coordinates, so pairing a point
 with a root is a plain dot product.
@@ -7,8 +11,10 @@ with a root is a plain dot product.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 import functools
+import math
 import re
 
 import mpmath
@@ -35,7 +41,7 @@ MAX_DIHEDRAL_M = 400
 
 
 class OddRatioNotOne(ValueError):
-    """I2(m) with odd m has a single root orbit, so the ratio must be 1."""
+    """A dihedral system with odd m has one root orbit, so the ratio must be 1."""
 
 
 class NonPositiveRatio(ValueError):
@@ -48,40 +54,65 @@ class ClosureOverflow(RuntimeError):
 
 @dataclass(frozen=True)
 class SystemSpec:
-    family: str                 # "H3" | "H4" | "I2"
-    m: int | None = None        # I2 only
+    family: str                 # a name of COXETER_TYPES
+    m: int | None = None        # parametrised rows only
     ratio: object = 1           # scalar, or ("sin", k, l) resolved at build
 
     def label(self):
-        if self.family != "I2":
+        if self.m is None:
             return self.family
         r = self.ratio
         if isinstance(r, tuple):
-            return f"I2:{self.m}:r=sin({r[1]})/sin({r[2]})"
-        if r == 1:
-            return f"I2:{self.m}"
-        return f"I2:{self.m}:r={r}"
+            r = f"sin({r[1]})/sin({r[2]})"
+        return f"{self.family}:{self.m}" + ("" if r == 1 else f":r={r}")
 
 
-_SIN_RE = re.compile(r"^sin\((\d+)\)/sin\((\d+)\)$")
+def _path(*labels):
+    """Labels of the path diagram 0 - 1 - ... - len(labels)."""
+    return {(i, i + 1): m for i, m in enumerate(labels)}
+
+
+# The Coxeter table, one row per family of the census.  labels maps each
+# joined pair i < j of simple roots to m_ij, the order of s_i s_j (every
+# other pair has m_ij = 2), and lengths gives the simple roots' lengths l_i.
+# A family with a parameter m has a function of its spec for a row, and its
+# specs read <name>:<m>[:r=<ratio>].
+CoxeterType = namedtuple("CoxeterType", "labels lengths exponents")
+DIHEDRAL = "I2"
+COXETER_TYPES = {
+    "H3": CoxeterType(_path(5, 3), (1, 1, 1), (1, 5, 9)),
+    "H4": CoxeterType(_path(5, 3, 3), (1, 1, 1, 1), (1, 11, 19, 29)),
+    DIHEDRAL: lambda spec: CoxeterType(
+        _path(spec.m), (1, _checked_ratio(spec)), (1, spec.m - 1)),
+}
+
+
+def coxeter_type(spec):
+    """The spec's row of COXETER_TYPES; ValueError if it has none."""
+    row = COXETER_TYPES.get(spec.family)
+    if row is None or callable(row) and (spec.m is None or spec.m < 2):
+        raise ValueError(f"no Coxeter row for {spec.family!r} with m = {spec.m}")
+    return row(spec) if callable(row) else row
 
 
 def parse_spec(text):
-    """Parse "H3" | "H4" | "I2:<m>" | "I2:<m>:r=<decimal>" | "I2:<m>:r=sin(k)/sin(l)"."""
-    if text in ("H3", "H4"):
-        return SystemSpec(text)
-    parts = text.split(":")
-    if parts[0] != "I2" or len(parts) not in (2, 3):
+    """Parse a table name; a parametrised one reads "<name>:<m>", then
+    optionally ":r=<decimal>" or ":r=sin(k)/sin(l)"."""
+    name, *params = text.split(":")
+    row = COXETER_TYPES.get(name)
+    if row is None or bool(params) != callable(row) or len(params) > 2:
         raise ValueError(f"bad system spec {text!r}")
-    m = int(parts[1])
+    if not params:
+        return SystemSpec(name)
+    m = int(params[0])
     if not 2 <= m <= MAX_DIHEDRAL_M:
-        raise ValueError(f"I2(m) requires 2 <= m <= {MAX_DIHEDRAL_M}")
+        raise ValueError(f"{name}(m) requires 2 <= m <= {MAX_DIHEDRAL_M}")
     ratio = 1
-    if len(parts) == 3:
-        if not parts[2].startswith("r="):
-            raise ValueError(f"bad ratio clause {parts[2]!r}")
-        body = parts[2][2:]
-        sin_match = _SIN_RE.match(body)
+    if len(params) == 2:
+        if not params[1].startswith("r="):
+            raise ValueError(f"bad ratio clause {params[1]!r}")
+        body = params[1][2:]
+        sin_match = re.match(r"^sin\((\d+)\)/sin\((\d+)\)$", body)
         if sin_match:
             k, l = int(sin_match.group(1)), int(sin_match.group(2))
             # sin(k pi/m) > 0 needs 0 < k < m; at k = m it is only 0 in floats
@@ -93,8 +124,8 @@ def parse_spec(text):
                 ratio = Q(body)
             except ZeroDivisionError:
                 raise ValueError(f"zero denominator in ratio {body!r}") from None
-    spec = SystemSpec("I2", m, ratio)
-    _checked_ratio(spec)
+    spec = SystemSpec(name, m, ratio)
+    coxeter_type(spec)
     return spec
 
 
@@ -109,8 +140,6 @@ def _resolve_ratio(spec):
         if k == l:
             return Q(1)
         c = _cos_pi_over(m)
-        if c is None:
-            c = Approx(mpmath.cos(mpmath.pi / m))
         return _chebyshev_u(k - 1, c) / _chebyshev_u(l - 1, c)
     return r
 
@@ -124,24 +153,21 @@ def _chebyshev_u(n, c):
 
 
 def _checked_ratio(spec):
-    """The resolved ratio of an I2 spec, which must be positive, and 1 for odd m."""
+    """The resolved ratio of a dihedral spec: positive, and 1 for odd m."""
     r = _resolve_ratio(spec)
     if spec.m % 2 == 1 and r != 1:
-        raise OddRatioNotOne(f"I2({spec.m}) with odd m requires ratio 1")
+        raise OddRatioNotOne(f"{spec.family}({spec.m}) with odd m requires ratio 1")
     if sgn(r) <= 0:
         raise NonPositiveRatio("root-length ratio must be positive")
     return r
 
 
+@functools.cache
 def _cos_pi_over(m):
-    """Exact cos(pi/m) where a quadratic field suffices, else None."""
-    return {
-        2: Q(0),
-        3: Q(1, 2),
-        4: sqrt2(0, Q(1, 2)),
-        5: tau(0, Q(1, 2)),
-        6: sqrt3(0, Q(1, 2)),
-    }.get(m)
+    """cos(pi/m): exact where a quadratic field holds it, else Approx."""
+    exact = {2: Q(0), 3: Q(1, 2), 4: sqrt2(0, Q(1, 2)), 5: tau(0, Q(1, 2)),
+             6: sqrt3(0, Q(1, 2))}
+    return exact[m] if m in exact else Approx(mpmath.cos(mpmath.pi / m))
 
 
 @dataclass(frozen=True)
@@ -175,24 +201,15 @@ class RootSystem:
         """Bilinear form u^T G w on simple-root coordinate vectors."""
         if len(u) != self.rank or len(w) != self.rank:
             raise ValueError("dimension mismatch")
-        acc = self.zero
-        for i, ui in enumerate(u):
-            if is_zero(ui):
-                continue
-            row = self.gram[i]
-            for j, wj in enumerate(w):
-                acc = acc + ui * row[j] * wj
-        return acc
+        return sum((ui * gij * wj for ui, row in zip(u, self.gram)
+                    if not is_zero(ui) for gij, wj in zip(row, w)), self.zero)
 
     def reflect(self, i, coeffs):
         """Apply the simple reflection s_{alpha_i} to a coefficient vector."""
-        pair = self.zero
-        for j, cj in enumerate(coeffs):
-            pair = pair + cj * self.gram[j][i]
+        pair = sum((cj * self.gram[j][i] for j, cj in enumerate(coeffs)),
+                   self.zero)
         coef = 2 * pair / self.gram[i][i]
-        out = list(coeffs)
-        out[i] = out[i] - coef
-        return tuple(out)
+        return tuple(c - coef if j == i else c for j, c in enumerate(coeffs))
 
     def roots_to_json(self):
         return [r.to_json() for r in self.positives]
@@ -211,12 +228,7 @@ def evaluate(x, root):
 
 
 def _coeff_cmp(a, b):
-    ha = hb = None
-    for x in a:
-        ha = x if ha is None else ha + x
-    for x in b:
-        hb = x if hb is None else hb + x
-    s = sgn(ha - hb)
+    s = sgn(sum(a[1:], a[0]) - sum(b[1:], b[0]))
     if s:
         return s
     for x, y in zip(a, b):
@@ -226,37 +238,30 @@ def _coeff_cmp(a, b):
     return 0
 
 
-def _gram_matrix(spec):
-    """Gram matrix plus the field tag of its entries."""
-    if spec.family in ("H3", "H4"):
-        n = 3 if spec.family == "H3" else 4
-        one, half = tau(1, 0), tau(Q(1, 2), 0)
-        cos5 = tau(0, Q(1, 2))
-        zero = tau(0, 0)
-        g = [[zero] * n for _ in range(n)]
-        for i in range(n):
-            g[i][i] = one
-        g[0][1] = g[1][0] = -cos5
-        for i in range(1, n - 1):
-            g[i][i + 1] = g[i + 1][i] = -half
-        return [tuple(row) for row in g], "tau"
+def _gram_matrix(row):
+    """Gram matrix of a Coxeter table row, plus the field tag of its entries.
 
-    m = spec.m
-    r = _checked_ratio(spec)
-    c = _cos_pi_over(m)
-    # the entries live in the field of r*c; Approx when there is none
-    one = None
-    if c is not None and not isinstance(r, Approx):
-        try:
-            one = one_like(r * c)
-        except TagMismatch:
-            pass
-    if one is None:
+    g_ii = l_i^2 and g_ij = -l_i l_j cos(pi/m_ij), promoted into the one
+    field that holds every length and cosine; Approx when there is none.
+    """
+    labels, lengths, _ = row
+    n = len(lengths)
+    label = {(i, j): labels.get((min(i, j), max(i, j)), 2)
+             for i in range(n) for j in range(n) if i != j}
+    cos = {m: _cos_pi_over(m) for m in set(label.values())}
+    try:
+        one = one_like(math.prod([*lengths, *cos.values()]))
+    except TagMismatch:
         one = Approx(1)
-        r, c = Approx(as_mpf(r)), Approx(mpmath.cos(mpmath.pi / m))
-    r, c = one * r, one * c
-    off = -(r * c)
-    return [(one, off), (off, r * r)], field_tag(one)
+    if isinstance(one, Approx):
+        # every cosine from mpmath, the exact ones too, as Approx always took them
+        lengths = [Approx(as_mpf(l)) for l in lengths]
+        cos = {m: Approx(mpmath.cos(mpmath.pi / m)) for m in cos}
+    lengths = [one * l for l in lengths]
+    cos = {m: one * c for m, c in cos.items()}
+    return [tuple(lengths[i] * lengths[i] if i == j
+                  else -(lengths[i] * lengths[j] * cos[label[i, j]])
+                  for j in range(n)) for i in range(n)], field_tag(one)
 
 
 def build(spec):
@@ -269,10 +274,12 @@ def build(spec):
     s_j gamma, for j the smallest descent, as gamma's parent makes the
     positive roots a tree, so each is reached once and no negative root is.
     """
-    gram, field = _gram_matrix(spec)
+    row = coxeter_type(spec)
+    gram, field = _gram_matrix(row)
     rs = RootSystem(spec, gram, (), field)
     n, zero, one = rs.rank, rs.zero, rs.one
-    expected = {"H3": 15, "H4": 60}.get(spec.family, spec.m)
+    # |Phi+| = nh/2 for the Coxeter number h (Humphreys 1990, 3.18)
+    expected = n * (max(row.exponents) + 1) // 2
 
     def signs(coeffs):
         """sgn((coeffs|alpha_i)) for each simple index i."""
@@ -303,16 +310,13 @@ def build(spec):
         raise ClosureOverflow(
             f"found {len(found)} positive roots, expected {expected}")
 
-    # alpha_i and alpha_j share an orbit when m_ij, the number of roots
-    # supported on {i, j}, is odd; each class is named by its least index
+    # alpha_i and alpha_j share an orbit when they are joined by a path of
+    # odd labels m_ij; each class is named by its least index
     orbit = list(range(n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            m_ij = sum(1 for c, _ in found
-                       if not any(c[k] for k in range(n) if k not in (i, j)))
-            if m_ij % 2:
-                lo, hi = sorted((orbit[i], orbit[j]))
-                orbit = [lo if o == hi else o for o in orbit]
+    for (i, j), m_ij in sorted(row.labels.items()):
+        if m_ij % 2:
+            lo, hi = sorted((orbit[i], orbit[j]))
+            orbit = [lo if o == hi else o for o in orbit]
 
     found.sort(key=functools.cmp_to_key(lambda a, b: _coeff_cmp(a[0], b[0])))
     rs.positives = tuple(Root(i, c, rs.inner(c, c), orbit[top])

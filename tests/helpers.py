@@ -39,6 +39,7 @@ from catalanregions.rootsystem import (
     SystemSpec,
     _coeff_cmp,
     _gram_matrix,
+    coxeter_type,
     parse_spec,
 )
 
@@ -96,7 +97,7 @@ def positive_roots_by_closure(spec):
     filters the positive roots, sorts them and finds their orbits by a second
     search.  Returns the positive roots as rootsystem.Root objects.
     """
-    gram, field = _gram_matrix(spec)
+    gram, field = _gram_matrix(coxeter_type(spec))
     n = len(gram)
     zero = zero_like(gram[0][0])
     one = one_like(gram[0][0])

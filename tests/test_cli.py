@@ -121,9 +121,22 @@ def test_classify_deterministic(capsys):
 
 
 # sha256 of `poset --format {dot,json,text}` and `antichains --format json`
-# stdout, captured from the pairwise n x n order before the bitmask rewrite
+# stdout, captured from the pairwise n x n order before the bitmask rewrite;
+# `roots` and `catalan` are those commands' `--format json` stdout, captured
+# before the Coxeter table built the Gram matrices (the simple roots' norm2
+# is the Gram diagonal)
 POSET_OUTPUT_SHA256 = {
+    "H3": {
+        "roots":
+            "91483624d532e2cda0722285db1e8a37be90ac6a104e4014f857fae5d21f0144",
+        "catalan":
+            "48b17d975f3b943d1e9bba54233572ba67b8af788407749f509cfe382794e6ab",
+    },
     "H4": {
+        "roots":
+            "cfdc59407be16230b4be8ea081d23d7774dfe900898a31422d7ea7803d413f6a",
+        "catalan":
+            "f8682ce7eb3d94896f1f5d8ff6370c0b0873761e34828fa037358f6a04f2a14c",
         "dot": "5aa0676366b8c515aa88897b5db2bc1a31389660353f56110a90ce060c4ad096",
         "json": "5f9a23eb87bfd84dac0db3faeaaac2fa218d91677c25d9d36bf0ea7f521e6bb3",
         "text": "7f6ba54745deba7ba51491702967efb1dd88669cc00a41367c6ce549d92c452b",
@@ -151,13 +164,32 @@ POSET_OUTPUT_SHA256 = {
         "antichains":
             "a0a7ee0a0d69399a4ec7ec8a7e4680ca47e8c6e6f79d08ee4cc8fb3e23c8541b",
     },
+    "I2:5": {
+        "roots":
+            "2e2c0ee274188e34f9fad874695581b7724a326d324d626db4abf963bc7efd2d",
+        "catalan":
+            "8679c32d6a30391692b6adc3bde3c04b9edea05dc5d902eed1953fc7f567ac30",
+    },
+    "I2:8:r=1.3": {
+        "roots":
+            "01de8847f85a67bb1fb181eadd071abf46444baa4f1cc459b8174cfe7eba6586",
+        "catalan":
+            "97d38e0fef22404f4cd3a7624003ca1635ff827e0b7f576573bc4bd28c4ca467",
+    },
+    "I2:4:r=sin(1)/sin(3)": {
+        "roots":
+            "de8aaabf155b9dc9f15585f0eec98bda5c9264d545e7d05e0f30dc9bb5b46556",
+        "catalan":
+            "812e41f39cc2f12aec7c23cf76532380104ad3bf534158c319c52444c33e7f2d",
+    },
 }
 
 
 @pytest.mark.parametrize("spec", POSET_OUTPUT_SHA256)
 def test_poset_outputs_pinned(capsys, spec):
     for fmt, want in POSET_OUTPUT_SHA256[spec].items():
-        argv = (["antichains", spec, "--format", "json"] if fmt == "antichains"
+        argv = ([fmt, spec, "--format", "json"]
+                if fmt in ("antichains", "roots", "catalan")
                 else ["poset", spec, "--format", fmt])
         code, out, _ = run(capsys, *argv)
         assert code == 0
@@ -260,6 +292,12 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path):
                          str(tmp_path / "fig.svg"))
     assert code == 2 and out == "" and err.startswith("error:")
     assert not (tmp_path / "fig.svg").exists()
+    # a directory stands where the SVG goes: no empty .dot is left either
+    (tmp_path / "d" / "fig.svg").mkdir(parents=True)
+    code, out, err = run(capsys, "figure", "I2:6", "--out",
+                         str(tmp_path / "d" / "fig.svg"))
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert not (tmp_path / "d" / "fig.dot").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -260,14 +260,29 @@ def test_scale_coherence():
         assert solve(sys1, ZERO, ONE).status == solve(sys2, ZERO, ONE).status
 
 
+# x > 0 and x < 0 is refuted by ge = le = [1]; 0 < x < 1 is feasible
+EMPTY_INTERVAL = LinearSystem(
+    1, strict_ge=[((ONE,), ZERO)], strict_le=[((ONE,), ZERO)])
+UNIT_INTERVAL = LinearSystem(
+    1, strict_ge=[((ONE,), ZERO)], strict_le=[((ONE,), ONE)])
+
+
+BOGUS_FARKAS = [
+    # the same multipliers leave 0 > 0 - 1 on the unit interval: the le
+    # constant counts against the combination
+    (UNIT_INTERVAL, [ONE], [ONE]),
+    (EMPTY_INTERVAL, [ONE], [Q(2)]),    # x - 2x does not cancel
+    (EMPTY_INTERVAL, [-ONE], [-ONE]),   # negative multipliers
+    (EMPTY_INTERVAL, [ZERO], [ZERO]),   # refutes nothing
+]
+
+
 def test_check_farkas_rejects_bogus():
-    sys = LinearSystem(1, strict_ge=[((ONE,), ZERO)], strict_le=[((ONE,), ZERO)])
-    with pytest.raises(AssertionError):
-        check_farkas(sys, {"ge": [ONE], "le": [Q(2)], "eq": []}, ZERO)
-    with pytest.raises(AssertionError):
-        check_farkas(sys, {"ge": [-ONE], "le": [-ONE], "eq": []}, ZERO)
-    with pytest.raises(AssertionError):
-        check_farkas(sys, {"ge": [ZERO], "le": [ZERO], "eq": []}, ZERO)
+    assert check_farkas(EMPTY_INTERVAL, {"ge": [ONE], "le": [ONE], "eq": []},
+                        ZERO)
+    for sys, ge, le in BOGUS_FARKAS:
+        with pytest.raises(AssertionError):
+            check_farkas(sys, {"ge": ge, "le": le, "eq": []}, ZERO)
 
 
 def test_int_c_pair_equivalence_h3(h3_poset):
@@ -386,6 +401,20 @@ def test_region_witness_sign_type(h3_report, h3_poset):
                 h3_poset.ideal(v.antichain)
 
 
+@pytest.mark.parametrize("point", ["origin", "negative", "wall"])
+def test_witness_sign_type_rejects_points_off_the_region(h3_poset, point):
+    # each point has (v|beta) <= 1 on every root, like the empty antichain's
+    # region, but lies outside that open region
+    rs = h3_poset.system
+    top = rs.positives[-1].coeffs   # the highest root
+    v = {"origin": (rs.zero,) * 3,
+         "negative": (-rs.one,) * 3,
+         "wall": (rs.one / sum(top, rs.zero),) * 3}[point]
+    assert all(sgn(evaluate(v, r) - rs.one) <= 0 for r in rs.positives)
+    assert witness_sign_type(h3_poset, v) is None
+    assert region_status(h3_poset, ()).witness is not None
+
+
 def _icmax(poset, antichain):
     return poset.complement_maximals(poset.ideal(antichain))
 
@@ -460,11 +489,32 @@ def test_order_certificate_members_come_from_region(h4_report, h4_poset):
         assert {i for i, _ in v.certificate.upper} <= set(icmax)
 
 
+# (lower, upper) weights on H3 roots given by their simple coordinates
+BOGUS_ORDER = [
+    # distinct simple roots: neither dominates the other
+    ([((0, 1, 0), ONE)], [((1, 0, 0), ONE)]),
+    # equal sums: the comparison must be strict somewhere
+    ([((0, 1, 1), ONE)], [((0, 1, 1), ONE)]),
+    # a weight of -1/10, with both sums 1 and a nonnegative difference
+    ([((0, 1, 0), Q(11, 10)), ((0, 1, 1), Q(-1, 10))], [((0, 1, 1), ONE)]),
+    # lower weights summing to 1 - 1/10
+    ([((0, 1, 0), Q(9, 10))], [((0, 1, 1), ONE)]),
+]
+
+
 def test_check_order_certificate_rejects_bogus(h3_poset):
-    cert = OrderCertificate(lower=[(0, ONE)], upper=[(1, ONE)])
     p = h3_poset
-    # roots 0 and 1 are distinct minimal roots; neither dominates the other
-    assert not check_order_certificate(p, cert)
+
+    def root(coeffs):
+        return next(r.index for r in p.system.positives if r.coeffs == coeffs)
+
+    # alpha_2 < alpha_2 + alpha_3 is a valid comparison
+    assert check_order_certificate(p, OrderCertificate(
+        lower=[(root((0, 1, 0)), ONE)], upper=[(root((0, 1, 1)), ONE)]))
+    for lower, upper in BOGUS_ORDER:
+        cert = OrderCertificate(lower=[(root(c), w) for c, w in lower],
+                                upper=[(root(c), w) for c, w in upper])
+        assert not check_order_certificate(p, cert), (lower, upper)
 
 
 def test_nonempty_h4_witnesses_verify(h4_report, h4_poset):

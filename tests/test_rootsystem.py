@@ -22,6 +22,7 @@ from catalanregions.rootsystem import (
     _gram_matrix,
     _resolve_ratio,
     build,
+    coxeter_type,
     evaluate,
     parse_spec,
 )
@@ -57,15 +58,15 @@ def test_infinite_group_raises_closure_overflow(monkeypatch):
     # affine A1~: (a0|a1) = -1 makes s0 s1 of infinite order
     one = Q(1)
     monkeypatch.setattr(rootsystem, "_gram_matrix",
-                        lambda spec: ([(one, -one), (-one, one)], "rational"))
+                        lambda row: ([(one, -one), (-one, one)], "rational"))
     with pytest.raises(ClosureOverflow):
         build(parse_spec("I2:7"))
 
 
 def test_wrong_gram_raises_closure_overflow(monkeypatch):
     # the I2(5) Gram matrix has 5 positive roots, not the 7 of I2(7)
-    gram5 = _gram_matrix(parse_spec("I2:5"))
-    monkeypatch.setattr(rootsystem, "_gram_matrix", lambda spec: gram5)
+    gram5 = _gram_matrix(coxeter_type(parse_spec("I2:5")))
+    monkeypatch.setattr(rootsystem, "_gram_matrix", lambda row: gram5)
     with pytest.raises(ClosureOverflow):
         build(parse_spec("I2:7"))
 

@@ -1,14 +1,14 @@
-"""Full census of dominant regions: good/bad maximal antichains, propagation
-below good maximal antichains, an LP for every region no good maximal
-antichain covers, boundedness, the bijection criterion and the generalized
-Catalan comparison.  A propagated region's witness LP runs only when the
-witness is read."""
+"""Full census of dominant regions.  Int_C decides the maximal antichains,
+and an LP each region that no good maximal antichain covers; propagation,
+boundedness and bijection coverage then read only the root order's masks and
+the subsets of the good maximal antichains.  A propagated region's witness
+LP runs only when the witness is read."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from math import prod
 
 from .feasibility import (
@@ -86,19 +86,25 @@ def classify_maximal(poset):
     return out
 
 
+def _subsets(a):
+    """Every subset of a sorted antichain, as sorted tuples."""
+    return chain.from_iterable(combinations(a, k) for k in range(len(a) + 1))
+
+
 def bijection_criterion(poset, maximal_verdicts):
     """Int_C over all nonempty antichains; the bijection holds iff none fails.
 
-    Verdicts of the maximal pass are reused: if A lies under a good maximal
-    antichain M, then Int_C(M) is inside Int_C(A), so only antichains under
-    no good maximal antichain, and not maximal themselves, go through int_c.
+    A subset A of a good maximal antichain M has Int_C(M) inside Int_C(A),
+    so the subsets of the good M are skipped by membership in one set; of
+    the rest, only antichains that are not maximal go through int_c.
     """
     held = {v.antichain: v for v in maximal_verdicts}
-    good = [set(v.antichain) for v in maximal_verdicts if v.good]
+    covered = {a for v in maximal_verdicts if v.good
+               for a in _subsets(v.antichain)}
     bad = []
     degenerate = []
     for a in poset.antichains():
-        if not a or any(g.issuperset(a) for g in good):
+        if not a or a in covered:
             continue
         if a in held:
             status = "Degenerate" if held[a].degenerate else "Infeasible"
@@ -120,17 +126,13 @@ def classify_all(poset):
     good_count = sum(1 for v in maximal_verdicts if v.good)
 
     # a good maximal antichain M certifies the regions of the increasing
-    # sets I(M) minus any subset of M; map their generating antichains to them
-    propagated = {}
+    # sets I(M) minus any subset of M; collect their generating antichains
+    propagated = set()
     for v in maximal_verdicts:
-        if not v.good:
-            continue
-        full = poset.ideal(v.antichain)
-        members = list(v.antichain)
-        for k in range(len(members) + 1):
-            for drop in combinations(members, k):
-                upper = full - set(drop)
-                propagated[poset.minimals(upper)] = upper
+        if v.good:
+            full = poset.ideal(v.antichain)
+            propagated.update(poset.minimals(full.difference(drop))
+                              for drop in _subsets(v.antichain))
 
     degenerate_flags = [
         {"antichain": list(v.antichain), "where": "int_c"}
@@ -141,9 +143,8 @@ def classify_all(poset):
     for a in antichains:
         if a in propagated:
             # its witness LP runs only if someone reads v.witness
-            icmax = poset.complement_maximals(propagated[a])
             verdict = RegionVerdict(a, "NonEmpty", method="Propagated",
-                                    bounded=bounded(poset, icmax), poset=poset)
+                                    bounded=bounded(poset, a), poset=poset)
         else:
             verdict = region_status(poset, a)
             if verdict.status == "Empty":

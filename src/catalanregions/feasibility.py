@@ -43,6 +43,7 @@ from .exactfield import (
     quad_sign,
     sgn,
 )
+from .rootposet import _mask
 from .rootsystem import evaluate
 
 
@@ -614,7 +615,7 @@ def region_status(poset, antichain):
     verdict = RegionVerdict(tuple(antichain), "NonEmpty")
     if res.status == "Feasible":
         verdict.witness = res.witness
-        verdict.bounded = bounded(poset, icmax)
+        verdict.bounded = bounded(poset, antichain)
     elif res.status == "Degenerate":
         verdict.status = "Degenerate"
     else:
@@ -688,19 +689,14 @@ def check_order_certificate(poset, cert):
     return all(sgn(d) >= 0 for d in diff) and any(sgn(d) > 0 for d in diff)
 
 
-def bounded(poset, icmax):
-    """True iff the supports of the I^c_max roots cover every simple index.
+def bounded(poset, antichain):
+    """True iff every support mask meets the roots outside the ideal I(A).
 
-    icmax is ``poset.complement_maximals(poset.ideal(antichain))``, the
-    upper walls of the antichain's region.  Inside the chamber a recession
-    direction d >= 0 has (d|gamma) <= 0 for each gamma in I^c_max, so d
-    vanishes on supp(gamma); the region is bounded exactly when that forces
-    d = 0.
+    A recession direction d >= 0 has (d|gamma) <= 0 for gamma outside I(A),
+    so d vanishes on supp(gamma): the region is bounded iff that forces d = 0.
     """
-    rs = poset.system
-    covered = {s for i in icmax
-               for s, c in enumerate(rs.positives[i].coeffs) if sgn(c) > 0}
-    return len(covered) == rs.rank
+    inside = _mask(poset.ideal(antichain))
+    return all(support & ~inside for support in poset.supports)
 
 
 def witness_sign_type(poset, witness):

@@ -3,8 +3,8 @@
 Roots are referred to by their canonical position (0-based index into
 ``RootSystem.positives``).  Antichains are sorted tuples of indices,
 increasing sets are frozensets.  Bit j of the int ``_up[i]`` (``_down[i]``)
-is set when root j lies above (below) root i, i included; every query is a
-mask expression.
+is set when root j lies above (below) root i, i included, and bit j of
+``supports[s]`` when the s-th simple coefficient of root j is positive.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ class RootPoset:
                 if all(sgn(b - a) >= 0 for a, b in zip(ci, cj)):
                     self._up[i] |= 1 << j
                     self._down[j] |= 1 << i
+        self.supports = [_mask(i for i, c in enumerate(coeffs) if sgn(c[s]) > 0)
+                         for s in range(system.rank)]
         self._hasse = None
         self._antichains = None
 

@@ -36,7 +36,7 @@ from .exactfield import (
 )
 
 # largest dihedral m accepted: RootPoset fills its order masks by m^2 pairwise
-# Approx sign tests, 1.6 s at m = 400, about half of `classify I2:400`'s 3 s
+# Approx sign tests, 1.1-1.3 s of `classify I2:400`'s 2.4-3.0 s (2-CPU Xeon)
 MAX_DIHEDRAL_M = 400
 
 
@@ -88,9 +88,10 @@ COXETER_TYPES = {
 
 
 def coxeter_type(spec):
-    """The spec's row of COXETER_TYPES; ValueError if it has none."""
+    """The spec's row of COXETER_TYPES; ValueError if m does not fit a row."""
     row = COXETER_TYPES.get(spec.family)
-    if row is None or callable(row) and (spec.m is None or spec.m < 2):
+    if (row is None or callable(row) != (spec.m is not None)
+            or callable(row) and spec.m < 2):
         raise ValueError(f"no Coxeter row for {spec.family!r} with m = {spec.m}")
     return row(spec) if callable(row) else row
 

@@ -2,6 +2,7 @@ import json
 import random
 import re
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,7 +16,7 @@ from catalanregions.classifier import (
     sign_type_consistency,
     sweep_ratio,
 )
-from catalanregions import cli, feasibility
+from catalanregions import classifier, cli, feasibility
 from catalanregions.exactfield import Approx, is_zero, scalar_to_json, sgn
 from catalanregions.feasibility import (
     FeasibilityResult,
@@ -47,6 +48,11 @@ def test_catalan_numbers():
         catalan_numbers("I2")
     with pytest.raises(ValueError):
         catalan_numbers("B2")
+    # a row without a parameter takes no m
+    with pytest.raises(ValueError):
+        catalan_numbers("H3", 5)
+    with pytest.raises(ValueError):
+        build(SystemSpec("H3", 5))
 
 
 def test_h3_report(h3_report):
@@ -133,8 +139,16 @@ def test_lp_count_only_read_witnesses_solve(monkeypatch):
     monkeypatch.setattr(feasibility, "lp_max", counted)
     sweep_ratio(6)
     assert len(calls) == 0
+    # the classifier imports int_c by name, so count it there
+    int_c_calls = []
+    real_int_c = classifier.int_c
+    monkeypatch.setattr(classifier, "int_c",
+                        lambda p, a: int_c_calls.append(a) or real_int_c(p, a))
     report = classify_system(parse_spec("H4"))
     assert len(calls) == 44  # 28 region LPs and 16 order certificates
+    # 152 maximal antichains, then the 29 that no good one contains
+    assert int_c_calls[:152] == [v.antichain for v in report.maximal_verdicts]
+    assert len(int_c_calls) == len(set(int_c_calls)) == 181
     cli.report_to_json(report)
     assert len(calls) == 445  # plus the 401 propagated witnesses
     # a witness, once read, is held
@@ -245,6 +259,11 @@ def test_bijection_includes_nonmaximal_witnesses(h4_report, h4_poset):
 def test_sign_type_round_trip(h3_report, h3_poset, h4_report, h4_poset):
     assert sign_type_consistency(h3_poset, h3_report.verdicts)
     assert sign_type_consistency(h4_poset, h4_report.verdicts)
+    # a witness read back against another antichain's ideal fails
+    first, second = h3_report.verdicts[:2]
+    swapped = SimpleNamespace(status="NonEmpty", antichain=first.antichain,
+                              witness=second.witness)
+    assert not sign_type_consistency(h3_poset, [swapped])
 
 
 def test_i2_odd_counts():
@@ -290,12 +309,24 @@ def test_sweep_grid_and_duality():
             if a and b:
                 assert a["region_count"] == b["region_count"]
                 assert a["bounded_count"] == b["bounded_count"]
-    assert any(r["count_change"] for r in rows)
+    # the count falls at four critical ratios and is back at the next midpoint
+    assert [r["ratio"] for r in rows if r["count_change"]] == [
+        "sin(1)/sin(2)", "midpoint_2", "sin(2)/sin(3)", "midpoint_3",
+        "sin(3)/sin(2)", "midpoint_5", "sin(2)/sin(1)", "midpoint_6"]
     with pytest.raises(OddRatioNotOne):
         sweep_ratio(5)
     for m in (0, -4, 1, MAX_DIHEDRAL_M + 2):
         with pytest.raises(ValueError, match="2 <= m"):
             sweep_ratio(m)
+
+
+def test_sweep_accepts_both_ends_of_its_range(monkeypatch):
+    monkeypatch.setattr(classifier, "MAX_DIHEDRAL_M", 4)
+    assert [r["ratio"] for r in sweep_ratio(2)] == ["sin(1)/sin(1)",
+                                                    "beyond_max"]
+    assert len(sweep_ratio(4)) == 6
+    with pytest.raises(ValueError, match="2 <= m <= 4"):
+        sweep_ratio(6)
 
 
 def test_default_grid_sorted():

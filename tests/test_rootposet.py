@@ -194,6 +194,11 @@ def test_masks_match_pairwise_oracle(group):
         antichains = p.antichains()
         assert antichains == ref.antichains()
         assert p.maximal_antichains() == ref.maximal_antichains()
+        # a positive root has no negative coefficient: its support is where
+        # the coefficient is not zero
+        for s, support in enumerate(p.supports):
+            assert support == sum(1 << i for i, r in enumerate(rs.positives)
+                                  if sgn(r.coeffs[s]) != 0)
         # the oracle's set queries scan pairs of roots: on I2:400 every
         # fifth antichain (all sizes occur) keeps this test to seconds
         for a in antichains[::5 if group == "I2:400" else 1]:

@@ -1,0 +1,123 @@
+"""Mutation testing for one module: flip one operator at a time and run the
+module's tests against each mutant.
+
+    python tools/mutate.py src/catalanregions/rootposet.py [TEST_FILE ...]
+
+The tests default to tests/test_<module>.py.  The repository, without .git,
+is copied once into a temporary directory (set TMPDIR to choose where), and
+each mutant replaces the module there and runs ``pytest -x`` in one
+subprocess.  A mutant is killed when the tests fail, survives when they
+pass, and hangs when it outlives five times the unmutated run (at least
+30 s).  The flips are comparisons, ``& |``, ``+ -`` and ``and or``, outside
+annotations.  A survivor listed in EQUIVALENT is counted apart, so that a
+new survivor stands out.  See DeMillo, Lipton and Sayward, "Hints on test
+data selection", IEEE Computer 11 (1978).
+"""
+
+import ast
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PAIRS = [(ast.Lt, ast.LtE), (ast.Gt, ast.GtE), (ast.Eq, ast.NotEq),
+         (ast.Is, ast.IsNot), (ast.In, ast.NotIn), (ast.Add, ast.Sub),
+         (ast.BitAnd, ast.BitOr), (ast.And, ast.Or)]
+FLIPS = {**dict(PAIRS), **{b: a for a, b in PAIRS}}
+# (module, stripped source line, flip) -> why no test can tell the mutant
+EQUIVALENT = {
+    ("classifier.py", "if num % den or pnum % den:", "Or -> And"):
+        "every row's Catalan products are integral, so neither test fires",
+    ("classifier.py", 'if v.status != "NonEmpty" or v.witness is None:',
+     "Or -> And"): "a verdict has a witness exactly when it is NonEmpty",
+}
+
+
+def sites(tree):
+    """The flippable operator nodes as (node, index into ops or None)."""
+    skip = {id(n) for a in ast.walk(tree)
+            for ann in (getattr(a, "annotation", None),
+                        getattr(a, "returns", None))
+            if ann is not None for n in ast.walk(ann)}
+    out = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Compare):
+            out += [(node, i) for i, op in enumerate(node.ops)
+                    if type(op) in FLIPS]
+        elif isinstance(node, (ast.BinOp, ast.AugAssign, ast.BoolOp)) \
+                and type(node.op) in FLIPS:
+            out.append((node, None))
+    return out
+
+
+def mutant(source, k):
+    """The source with the k-th site flipped, and its (line, flip) label."""
+    tree = ast.parse(source)
+    node, i = sites(tree)[k]
+    old = node.ops[i] if i is not None else node.op
+    new = FLIPS[type(old)]()
+    if i is None:
+        node.op = new
+    else:
+        node.ops[i] = new
+    flip = f"{type(old).__name__} -> {type(new).__name__}"
+    return ast.unparse(tree), (node.lineno, flip)
+
+
+def run_tests(work, tests, timeout):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(work / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+         *tests],
+        cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True)
+    try:
+        return "survived" if proc.wait(timeout) == 0 else "killed"
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # pytest's own children too
+        proc.wait()
+        return "hung"
+
+
+def main(argv):
+    module, tests = Path(argv[0]).resolve().relative_to(ROOT), argv[1:]
+    tests = tests or [f"tests/test_{module.stem}.py"]
+    source = (ROOT / module).read_text()
+    lines = source.splitlines()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp) / "repo"
+        shutil.copytree(ROOT, work, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
+        (work / module).write_text(ast.unparse(ast.parse(source)))
+        start = time.perf_counter()
+        if run_tests(work, tests, None) != "survived":
+            sys.exit(f"the tests fail on the unmutated {module}")
+        timeout = max(30.0, 5 * (time.perf_counter() - start))
+        counts = {"killed": 0, "survived": 0, "hung": 0, "equivalent": 0}
+        for k in range(len(sites(ast.parse(source)))):
+            text, (line, flip) = mutant(source, k)
+            (work / module).write_text(text)
+            outcome = run_tests(work, tests, timeout)
+            why = EQUIVALENT.get((module.name, lines[line - 1].strip(), flip))
+            if outcome == "survived" and why:
+                outcome = "equivalent"
+            counts[outcome] += 1
+            if outcome != "killed":
+                note = f"  ({why})" if outcome == "equivalent" else ""
+                print(f"{outcome}: {module}:{line}: {flip}: "
+                      f"{lines[line - 1].strip()}{note}", flush=True)
+    print(f"{module}: {sum(counts.values())} mutants, "
+          + ", ".join(f"{v} {k}" for k, v in counts.items()))
+    return 1 if counts["survived"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -12,19 +12,23 @@ Three kinds of scalar coexist (never mixed within one computation):
   views,
 * high-precision floats with a fixed comparison tolerance, for dihedral
   systems whose coordinates live in no fixed quadratic field.  They compute
-  in mpmath's process-wide context, which importing this module raises to
-  ``DECIMAL_DPS`` digits.
+  in mpmath's process-wide context, which the first use of an Approx value,
+  a cosine or a decimal view raises to ``DECIMAL_DPS`` digits; mpmath is
+  imported only then, through ``load_mpmath``.
 
 Which kind a system uses follows from its spec alone (see
 ``rootsystem.build``); nothing selects it at run time.
+
+A vector of exact scalars of one field also has an integer-row form (see
+``int_row``): int lists X, Y over one least denominator D > 0, entry j being
+(X[j] + Y[j]*rho)/D.  The exact simplex pivots on it, and the root order
+and the witness read-back compare on it, with no scalar arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-
-import mpmath
+from math import gcd, lcm
 
 
 def Q(a=0, b=1):
@@ -45,10 +49,25 @@ class DivByZero(ZeroDivisionError):
 # Working precision for all decimal evaluation; well above the 50
 # significant digits the comparisons are validated against.  mpmath
 # re-rounds every operation (negation included) to the ambient context,
-# so the global context is raised once at import.
+# so the first use raises the global context, and every later use raises
+# it again should a caller's context have lowered it since.
 DECIMAL_DPS = 60
-if mpmath.mp.dps < DECIMAL_DPS:
-    mpmath.mp.dps = DECIMAL_DPS
+
+
+def load_mpmath():
+    """The mpmath module, its process-wide context at DECIMAL_DPS digits or more.
+
+    mpmath is imported on the first call, so a process that computes only
+    in exact fields never loads it.  The precision is checked on every call:
+    a caller's ``mpmath.workdps`` block restores its own saved precision on
+    exit, which may be below DECIMAL_DPS.
+    """
+    import mpmath
+
+    if mpmath.mp.dps < DECIMAL_DPS:
+        mpmath.mp.dps = DECIMAL_DPS
+    return mpmath
+
 
 # Relations rho**2 = p*rho + q, with rho the positive root.
 REL_TAU = (1, 1, "tau")
@@ -76,6 +95,29 @@ def quad_sign(x, y, p, q):
     if sa == sb:
         return sa
     return sa * _qsign(big_a * big_a - (p * p + 4 * q) * y * y)
+
+
+def int_row(scalars, rel):
+    """The integer row (X, Y, D) of a vector of scalars of one field.
+
+    Entry j is (X[j] + Y[j]*rho)/D, with D > 0 the least common denominator,
+    so gcd(*X, *Y, D) == 1.  ``rel`` is the field's relation, None for the
+    rationals, whose rows keep Y zero.  Ints and Fractions belong to every
+    field; any other scalar raises TagMismatch.
+    """
+    parts = []
+    for c in scalars:
+        if isinstance(c, QuadExt) and c.rel == rel:
+            parts.append((c.x, c.y, c.d))
+        elif isinstance(c, _RATIONAL_TYPES):
+            parts.append((c.numerator, 0, c.denominator))
+        else:
+            raise TagMismatch(f"a vector over {rel[2] if rel else 'Q'} "
+                              f"cannot take {c!r}")
+    # each entry is in lowest terms, so the row over the lcm is too
+    d = lcm(*(pd for _, _, pd in parts))
+    return ([x * (d // pd) for x, _, pd in parts],
+            [y * (d // pd) for _, y, pd in parts], d)
 
 
 def _parts(c):
@@ -275,13 +317,13 @@ class QuadExt:
 
     def root_value(self):
         p, q, _ = self.rel
-        return (p + mpmath.sqrt(p * p + 4 * q)) / 2
+        return (p + load_mpmath().sqrt(p * p + 4 * q)) / 2
 
     def mpf(self):
         # a + rho*b, evaluated in this order from the reduced fractions
         rho = self.root_value()
         a, b = self.a, self.b
-        return mpmath.mpf(a.numerator) / a.denominator + \
+        return load_mpmath().mpf(a.numerator) / a.denominator + \
             rho * b.numerator / b.denominator
 
 
@@ -298,21 +340,38 @@ def sqrt3(a=0, b=1):
     return QuadExt(a, b, REL_SQRT3)
 
 
+class _Epsilon:
+    """``Approx.epsilon``, mpf("1e-30") at DECIMAL_DPS digits, made on first read.
+
+    The first read puts the value itself in the class in place of this
+    descriptor, so mpmath loads only when an Approx comparison needs it.
+    """
+
+    def __get__(self, obj, cls):
+        mpmath = load_mpmath()
+        with mpmath.workdps(DECIMAL_DPS):
+            eps = mpmath.mpf("1e-30")
+        cls.epsilon = eps
+        return eps
+
+
 class Approx:
     """High-precision float with a tolerance; ties are surfaced, not resolved.
 
     Comparisons whose difference is below ``epsilon`` count as equal; a
     difference within [epsilon, 10*epsilon] is close enough to a tie to be
     reported as degenerate by callers that care.  Arithmetic runs in the
-    process-wide mpmath context, which importing this module raises to
-    ``DECIMAL_DPS`` digits; nothing enters a context of its own.
+    process-wide mpmath context, which the first use raises to
+    ``DECIMAL_DPS`` digits, as every construction does again; nothing enters
+    a context of its own.
     """
 
     __slots__ = ("v",)
 
-    epsilon = mpmath.mpf("1e-30")
+    epsilon = _Epsilon()
 
     def __init__(self, v):
+        mpmath = load_mpmath()
         if isinstance(v, Fraction):
             self.v = mpmath.mpf(v.numerator) / v.denominator
         else:
@@ -405,7 +464,7 @@ class Approx:
         return self.sign() != 0
 
     def __repr__(self):
-        return f"Approx({mpmath.nstr(self.v, 20)})"
+        return f"Approx({load_mpmath().nstr(self.v, 20)})"
 
 
 def _approx(v):
@@ -465,14 +524,14 @@ def as_mpf(x):
         return x.mpf()
     if isinstance(x, Approx):
         return x.v
-    return mpmath.mpf(int(x.numerator)) / int(x.denominator)
+    return load_mpmath().mpf(int(x.numerator)) / int(x.denominator)
 
 
 def scalar_to_json(x):
     if isinstance(x, QuadExt):
         return {"a": str(x.a), "b": str(x.b), "field": x.rel[2]}
     if isinstance(x, Approx):
-        return {"value": mpmath.nstr(x.v, 40), "field": "approx"}
+        return {"value": load_mpmath().nstr(x.v, 40), "field": "approx"}
     return {"a": str(x), "field": "rational"}
 
 

@@ -18,6 +18,9 @@ integer numerators X, Y over one positive row denominator D, entry j being
 rationals).  Pivots multiply by conjugates over norms, signs use the
 quadratic sign rule that ``QuadExt.sign`` uses, and only the results become
 scalars.  Approx rows stay lists of scalars; one Bland driver runs both.
+``exactfield.int_row`` defines the row format, and the same rows serve the
+read-back: ``witness_sign_type`` signs each (v|beta) - 1 on the witness's
+row and the poset's root rows, with no scalar arithmetic.
 
 The census solves a region LP only for the antichains that no good maximal
 antichain covers: on H4, 28 decision LPs and 16 certificates.  A propagated
@@ -36,8 +39,8 @@ from math import gcd, lcm
 from .exactfield import (
     Approx,
     QuadExt,
-    TagMismatch,
     _reduce,
+    int_row,
     is_zero,
     near_tie,
     quad_sign,
@@ -231,29 +234,14 @@ class _IntRows:
         self.total = total
         self.rows = []
 
-    def _parts(self, c):
-        """(x, y, d) of a scalar of this field: c = (x + y*rho)/d."""
-        if isinstance(c, QuadExt) and c.rel == self.rel:
-            return c.x, c.y, c.d
-        if isinstance(c, (int, Fraction)):
-            return c.numerator, 0, c.denominator
-        raise TagMismatch(f"an LP over {self.rel[2] if self.rel else 'Q'} "
-                          f"cannot take {c!r}")
-
     def append(self, coeffs, rhs, s, units):
         """Row s*(coeffs | rhs) with the unit entries ``units`` (column -> +-1)."""
-        total = self.total
-        parts = [self._parts(c) for c in coeffs]
-        parts.append(self._parts(rhs))
-        d = lcm(*(pd for _, _, pd in parts))
-        X, Y = [0] * (total + 1), [0] * (total + 1)
-        cols = list(range(len(coeffs))) + [total]
-        for j, (x, y, pd) in zip(cols, parts):
-            f = s * (d // pd)
-            X[j], Y[j] = x * f, y * f
+        x, y, d = int_row([*coeffs, rhs], self.rel)
+        pad = [0] * (self.total - len(coeffs))
+        X = [s * v for v in x[:-1]] + pad + [s * x[-1]]
+        Y = [s * v for v in y[:-1]] + pad + [s * y[-1]]
         for j, u in units.items():
             X[j] = u * d
-        # each entry was in lowest terms, so the row is too
         self.rows.append([X, Y, d])
 
     def append_sum(self, indices, zeroed):
@@ -703,9 +691,35 @@ def witness_sign_type(poset, witness):
     """Increasing set read off a point of an open region: roots with (v|beta) > 1.
 
     None unless every v_i > 0 and no (v|beta) is 1: a point off its region
-    never reads back the region's ideal."""
+    never reads back the region's ideal.  Raises ValueError when the point
+    does not have the system's rank, and TagMismatch on a scalar of another
+    field.  On an exact field v becomes one integer row (VX, VY, D), and each
+    (v|beta) - 1 is signed on ints against the poset's root row (A, B, E):
+    it has the sign of sum((VX + VY*rho)(A + B*rho)) - D*E.
+    """
     rs = poset.system
-    signs = [sgn(evaluate(witness, r) - rs.one) for r in rs.positives]
-    if 0 in signs or any(sgn(x) <= 0 for x in witness):
+    if len(witness) != rs.rank:
+        raise ValueError("dimension mismatch")
+    if poset.rows is None:
+        signs = [sgn(evaluate(witness, r) - rs.one) for r in rs.positives]
+        if 0 in signs or any(sgn(x) <= 0 for x in witness):
+            return None
+        return frozenset(i for i, s in enumerate(signs) if s > 0)
+    vx, vy, d = int_row(witness, poset.rel)
+    p, q = poset.rel[:2] if poset.rel else (0, 0)
+    if any(quad_sign(x, y, p, q) <= 0 for x, y in zip(vx, vy)):
         return None
-    return frozenset(i for i, s in enumerate(signs) if s > 0)
+    above = []
+    for i, (a, b, e) in enumerate(poset.rows):
+        # (x + y*rho)(a + b*rho) = (x*a + q*y*b) + (x*b + y*a + p*y*b)*rho
+        sx = sy = 0
+        for x, y, ai, bi in zip(vx, vy, a, b):
+            yb = y * bi
+            sx += x * ai + q * yb
+            sy += x * bi + y * ai + p * yb
+        s = quad_sign(sx - d * e, sy, p, q)
+        if s > 0:
+            above.append(i)
+        elif not s:
+            return None
+    return frozenset(above)

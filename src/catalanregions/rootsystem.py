@@ -17,8 +17,6 @@ import functools
 import math
 import re
 
-import mpmath
-
 from .exactfield import (
     Approx,
     Q,
@@ -26,6 +24,7 @@ from .exactfield import (
     as_mpf,
     field_tag,
     is_zero,
+    load_mpmath,
     one_like,
     scalar_to_json,
     sgn,
@@ -168,7 +167,10 @@ def _cos_pi_over(m):
     """cos(pi/m): exact where a quadratic field holds it, else Approx."""
     exact = {2: Q(0), 3: Q(1, 2), 4: sqrt2(0, Q(1, 2)), 5: tau(0, Q(1, 2)),
              6: sqrt3(0, Q(1, 2))}
-    return exact[m] if m in exact else Approx(mpmath.cos(mpmath.pi / m))
+    if m in exact:
+        return exact[m]
+    mpmath = load_mpmath()
+    return Approx(mpmath.cos(mpmath.pi / m))
 
 
 @dataclass(frozen=True)
@@ -256,6 +258,7 @@ def _gram_matrix(row):
         one = Approx(1)
     if isinstance(one, Approx):
         # every cosine from mpmath, the exact ones too, as Approx always took them
+        mpmath = load_mpmath()
         lengths = [Approx(as_mpf(l)) for l in lengths]
         cos = {m: Approx(mpmath.cos(mpmath.pi / m)) for m in cos}
     lengths = [one * l for l in lengths]

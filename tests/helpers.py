@@ -40,6 +40,7 @@ from catalanregions.rootsystem import (
     _coeff_cmp,
     _gram_matrix,
     coxeter_type,
+    evaluate,
     parse_spec,
 )
 
@@ -159,6 +160,19 @@ def _orbits(rs, simples, positives):
                     orbit[img] = si
                     stack.append(img)
     return orbit
+
+
+def witness_sign_type_reference(poset, witness):
+    """``feasibility.witness_sign_type`` on scalars: each (v|beta) by ``evaluate``.
+
+    ``evaluate`` raises ValueError on a point of the wrong length and the
+    field arithmetic TagMismatch on a foreign scalar.
+    """
+    rs = poset.system
+    signs = [sgn(evaluate(witness, r) - rs.one) for r in rs.positives]
+    if 0 in signs or any(sgn(x) <= 0 for x in witness):
+        return None
+    return frozenset(i for i, s in enumerate(signs) if s > 0)
 
 
 def random_rational(rng, span=20):

@@ -1,5 +1,8 @@
 import random
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -158,6 +161,69 @@ def test_approx_precision_survives_negation():
     assert abs(int((Approx(1) / 3).v * 10**55) - 10**55 // 3) <= 1
     # x/3*3 also rounds back to 1 at 15 digits, so this bounds the error only
     assert abs((Approx(1) / 3 * 3 - 1).v) < mpmath.mpf("1e-55")
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter on these sources; fail on its error."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+         + code], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_exact_census_never_loads_mpmath():
+    # classify, serialize and read back H4 as the CLI and a checker would
+    _run_fresh("""
+import json
+import catalanregions
+from catalanregions.classifier import classify_system
+from catalanregions.cli import report_to_json
+from catalanregions.exactfield import scalar_from_json
+from catalanregions.feasibility import witness_sign_type
+spec = catalanregions.parse_spec("H4")
+report = classify_system(spec)
+doc = json.loads(json.dumps(report_to_json(report), sort_keys=True))
+poset = catalanregions.RootPoset(catalanregions.build(spec))
+read = 0
+for entry in doc["antichains"]:
+    if entry["status"] == "NonEmpty":
+        v = tuple(scalar_from_json(x) for x in entry["witness"])
+        ideal = poset.ideal(tuple(i - 1 for i in entry["members"]))
+        assert witness_sign_type(poset, v) == ideal
+        read += 1
+assert read == 413
+assert "mpmath" not in sys.modules
+""")
+
+
+def test_approx_precision_survives_a_callers_workdps():
+    # the first touch of mpmath happens inside a caller's lower-precision
+    # block, whose exit restores mpmath's default 15 digits
+    _run_fresh("""
+import mpmath
+from catalanregions.exactfield import Approx, as_mpf, tau
+with mpmath.workdps(50):
+    as_mpf(tau(1, 1))
+assert (Approx(1) + Approx("1e-45")).v != 1
+assert abs(int((Approx(1) / 3).v * 10**55) - 10**55 // 3) <= 1
+assert mpmath.mp.dps >= 60
+""")
+
+
+def test_approx_epsilon_is_1e_30_at_60_digits():
+    # read before anything else loads mpmath
+    _run_fresh("""
+from catalanregions.exactfield import Approx
+eps = Approx.epsilon
+import mpmath
+with mpmath.workdps(60):
+    want = mpmath.mpf("1e-30")
+assert type(eps) is mpmath.mpf and eps._mpf_ == want._mpf_
+assert Approx.epsilon is eps
+""")
 
 
 def test_field_tags():

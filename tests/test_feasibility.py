@@ -9,7 +9,9 @@ from catalanregions import feasibility
 from catalanregions.classifier import classify_all, default_ratio_grid
 from catalanregions.cli import report_to_json
 from catalanregions.exactfield import (
+    Approx,
     Q,
+    TagMismatch,
     is_zero,
     scalar_from_json,
     sgn,
@@ -41,6 +43,7 @@ from helpers import (
     int_c_lp,
     lp_max_reference,
     solve_reference,
+    witness_sign_type_reference,
 )
 
 ZERO, ONE = Q(0), Q(1)
@@ -401,18 +404,80 @@ def test_region_witness_sign_type(h3_report, h3_poset):
                 h3_poset.ideal(v.antichain)
 
 
-@pytest.mark.parametrize("point", ["origin", "negative", "wall"])
+@pytest.mark.parametrize("point", ["origin", "negative", "wall", "zero v_1"])
 def test_witness_sign_type_rejects_points_off_the_region(h3_poset, point):
     # each point has (v|beta) <= 1 on every root, like the empty antichain's
     # region, but lies outside that open region
     rs = h3_poset.system
     top = rs.positives[-1].coeffs   # the highest root
+    small = rs.one / 100
     v = {"origin": (rs.zero,) * 3,
          "negative": (-rs.one,) * 3,
-         "wall": (rs.one / sum(top, rs.zero),) * 3}[point]
+         "wall": (rs.one / sum(top, rs.zero),) * 3,
+         "zero v_1": (rs.zero, small, small)}[point]
     assert all(sgn(evaluate(v, r) - rs.one) <= 0 for r in rs.positives)
     assert witness_sign_type(h3_poset, v) is None
+    assert witness_sign_type_reference(h3_poset, v) is None
     assert region_status(h3_poset, ()).witness is not None
+
+
+@pytest.mark.parametrize("group", sorted(REGION_SPECS))
+def test_witness_sign_type_matches_reference(group):
+    # every census witness reads back its ideal: on the integer rows of an
+    # exact field, on scalars for Approx, and on the reference's scalars
+    for spec in REGION_SPECS[group]:
+        p = RootPoset(build(spec))
+        for v in classify_all(p).verdicts:
+            if v.status == "NonEmpty":
+                assert (witness_sign_type(p, v.witness)
+                        == witness_sign_type_reference(p, v.witness)
+                        == p.ideal(v.antichain)), (spec, v.antichain)
+
+
+@pytest.mark.parametrize("label",
+                         ["H3", "I2:4:r=0.3", "I2:6:r=1/7", "I2:3", "I2:7"])
+def test_witness_sign_type_matches_reference_on_mixed_points(label):
+    # points whose entries mix ints, Fractions and field elements over
+    # different denominators, some off the chamber, and the same points
+    # scaled onto a wall (v|beta) = 1
+    p = RootPoset(build(parse_spec(label)))
+    rs = p.system
+    make = {"tau": tau, "sqrt2": sqrt2, "sqrt3": sqrt3,
+            "approx": lambda a, b: Approx(a + b)}.get(rs.field)
+    rng = random.Random(label)
+
+    def entry():
+        r = Q(rng.randint(-2, 12), rng.randint(1, 12))
+        kind = rng.randrange(3)
+        if kind == 0:
+            return rng.randint(-1, 2)
+        if kind == 1 or make is None:
+            return r
+        return make(r, Q(rng.randint(-6, 6), rng.randint(1, 12)))
+
+    seen = Counter()
+    for _ in range(300):
+        v = tuple(entry() for _ in range(rs.rank))
+        on_wall = evaluate(v, rng.choice(rs.positives))
+        points = [v]
+        if sgn(on_wall) > 0:
+            points.append(tuple(x / on_wall for x in v))
+        for w in points:
+            got = witness_sign_type(p, w)
+            assert got == witness_sign_type_reference(p, w), w
+            seen[got if got is None else len(got)] += 1
+    # both verdicts occur, and sign types of several sizes
+    assert seen[None] and len(seen) >= 4, seen
+
+
+def test_witness_sign_type_rejects_wrong_length_and_foreign_fields(h3_poset):
+    one = h3_poset.system.one
+    for read_back in (witness_sign_type, witness_sign_type_reference):
+        with pytest.raises(ValueError):
+            read_back(h3_poset, (one, one))
+        for foreign in (sqrt2(1, 1), Approx(2)):
+            with pytest.raises(TagMismatch):
+                read_back(h3_poset, (one, foreign, one))
 
 
 def test_bounded_h3(h3_poset):
@@ -489,6 +554,16 @@ def test_order_certificate_members_come_from_region(h4_report, h4_poset):
         assert {i for i, _ in v.certificate.upper} <= set(icmax)
 
 
+def test_order_certificate_none_on_nonempty_regions(h3_poset):
+    # a convex comparison refutes its region, so a nonempty one has none
+    p = h3_poset
+    for a in p.antichains():
+        icmax = p.complement_maximals(p.ideal(a))
+        assert feasibility.order_certificate(p, a, icmax) is None, a
+    # one root on both sides compares equal, never strictly
+    assert feasibility.order_certificate(p, (0,), (0,)) is None
+
+
 # (lower, upper) weights on H3 roots given by their simple coordinates
 BOGUS_ORDER = [
     # distinct simple roots: neither dominates the other
@@ -508,9 +583,12 @@ def test_check_order_certificate_rejects_bogus(h3_poset):
     def root(coeffs):
         return next(r.index for r in p.system.positives if r.coeffs == coeffs)
 
-    # alpha_2 < alpha_2 + alpha_3 is a valid comparison
-    assert check_order_certificate(p, OrderCertificate(
-        lower=[(root((0, 1, 0)), ONE)], upper=[(root((0, 1, 1)), ONE)]))
+    # alpha_2 < alpha_2 + alpha_3 is a valid comparison, with or without a
+    # zero weight on a further root
+    for extra in ([], [(root((1, 0, 0)), ZERO)]):
+        assert check_order_certificate(p, OrderCertificate(
+            lower=[(root((0, 1, 0)), ONE)] + extra,
+            upper=[(root((0, 1, 1)), ONE)]))
     for lower, upper in BOGUS_ORDER:
         cert = OrderCertificate(lower=[(root(c), w) for c, w in lower],
                                 upper=[(root(c), w) for c, w in upper])

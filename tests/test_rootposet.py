@@ -176,6 +176,9 @@ ORACLE_SYSTEMS = {
     "H4": [parse_spec("H4")],
     "I2:2-60": [parse_spec(f"I2:{m}") for m in range(2, 61)],
     "I2:400": [parse_spec("I2:400")],
+    # roots over the denominators 10 and 3 in Q(sqrt 2)
+    "I2:4:r=0.3": [parse_spec("I2:4:r=0.3")],
+    "grid4": [SystemSpec("I2", 4, r) for _, r in default_ratio_grid(4)],
     "grid6": [SystemSpec("I2", 6, r) for _, r in default_ratio_grid(6)],
     "grid12": [SystemSpec("I2", 12, r) for _, r in default_ratio_grid(12)],
 }

@@ -16,6 +16,7 @@ from catalanregions.exactfield import sqrt2
 from catalanregions.feasibility import witness_sign_type
 from catalanregions.rootposet import RootPoset
 from catalanregions.rootsystem import CoxeterType, _path, build, parse_spec
+from helpers import witness_sign_type_reference
 
 LONG = sqrt2(0, 1)  # long roots of B_n and F4; short roots have length 1
 
@@ -77,6 +78,9 @@ def test_weyl_census_matches_theorems(monkeypatch, name):
     assert report.bounded_count == cat_positive
     assert report.bijection_holds
     assert (report.catalan.cat, report.catalan.cat_positive) == (cat, cat_positive)
-    # every witness lies in its open region and reads back its ideal
+    # every witness lies in its open region and reads back its ideal, on
+    # integer rows as on the reference's scalar dot products
     for v in report.verdicts:
-        assert witness_sign_type(poset, v.witness) == poset.ideal(v.antichain)
+        assert (witness_sign_type(poset, v.witness)
+                == witness_sign_type_reference(poset, v.witness)
+                == poset.ideal(v.antichain))

@@ -35,6 +35,45 @@ EQUIVALENT = {
         "every row's Catalan products are integral, so neither test fires",
     ("classifier.py", 'if v.status != "NonEmpty" or v.witness is None:',
      "Or -> And"): "a verdict has a witness exactly when it is NonEmpty",
+    ("feasibility.py",
+     "return frozenset(i for i, s in enumerate(signs) if s > 0)",
+     "Gt -> GtE"): "a zero sign has returned None on the line before",
+    ("feasibility.py",
+     "row[:len(coeffs)] = coeffs if s > 0 else [-c for c in coeffs]",
+     "Gt -> GtE"): "lp_max passes s = 1 or s = -1, never 0",
+    ("feasibility.py", "row[total] = rhs if s > 0 else -rhs", "Gt -> GtE"):
+        "lp_max passes s = 1 or s = -1, never 0",
+    ("feasibility.py", "row[j] = one if u > 0 else -one", "Gt -> GtE"):
+        "lp_max passes unit entries 1 or -1, never 0",
+    ("feasibility.py", "if px < 0:", "Lt -> LtE"):
+        "a pivot entry is never zero",
+    ("feasibility.py", "if d < 0:", "Lt -> LtE"):
+        "the norm of a nonzero x + y*rho with y != 0 is never zero",
+    ("feasibility.py", "if sgn(row[n]) < 0:", "Lt -> LtE"):
+        "the line before has tested row[n] nonzero, with the tolerance sgn uses",
+    ("feasibility.py", "if sp <= 0:", "LtE -> Lt"):
+        "a row with a zero s_t coefficient pairs into a positive multiple of "
+        "itself, after the row itself, so no bound or refutation changes",
+    ("feasibility.py", "if sq >= 0:", "GtE -> Gt"):
+        "a row with a zero s_t coefficient pairs into a positive multiple of "
+        "itself, after the row itself, so no bound or refutation changes",
+    ("feasibility.py", "if sg > 0 and (lo is None or bound > lo):",
+     "Gt -> GtE"): "a zero sign has continued above, and an "
+        "equal bound leaves lo as it is",
+    ("feasibility.py", "elif sg < 0 and (hi is None or bound < hi):",
+     "Lt -> LtE"): "a zero sign has continued above, and an "
+        "equal bound leaves hi as it is",
+    ("feasibility.py", "sel = [one if j in idx else zero for j in range(nv)]",
+     "In -> NotIn"): "the complement of one side's columns is the other "
+        "side's, so the two sum rows only swap places; the H4 report keeps "
+        "its bytes",
+    ("feasibility.py",
+     "if s > 0 or (s == 0 and basis[i] > basis[leave]):", "Gt -> GtE"):
+        "two rows never share a basic column; the flip of s > 0 on this line "
+        "is killed",
+    ("feasibility.py", "if not imin or not icmax:", "Or -> And"):
+        "an empty side makes its convex-weight row read 0 = 1, so the LP is "
+        "infeasible and None is returned all the same",
 }
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations
 from math import prod
 
+from .exactfield import sorted_runs
 from .feasibility import (
     RegionVerdict,
     bounded,
@@ -223,15 +224,12 @@ def sweep_ratio(m, ratios=None):
 def default_ratio_grid(m):
     """Critical ratios sin(k pi/m)/sin(l pi/m), the midpoints between them and
     one ratio beyond the largest, all in the ratios' own field: exact for
-    m <= 6, Approx above.  Floats only sort and deduplicate them."""
-    from .exactfield import as_mpf
-
-    crit = {}
-    for k in range(1, m // 2 + 1):
-        for l in range(1, m // 2 + 1):
-            r = _resolve_ratio(SystemSpec(DIHEDRAL, m, ("sin", k, l)))
-            crit[float(as_mpf(r))] = (f"sin({k})/sin({l})", r)
-    ordered = [crit[v] for v in sorted(crit)]
+    m <= 6, Approx above.  They are sorted and deduplicated by ``sgn`` too,
+    each value labelled by its last (k, l)."""
+    crit = [(f"sin({k})/sin({l})",
+             _resolve_ratio(SystemSpec(DIHEDRAL, m, ("sin", k, l))))
+            for k in range(1, m // 2 + 1) for l in range(1, m // 2 + 1)]
+    ordered = [run[-1] for run in sorted_runs(crit, key=lambda c: c[1])]
     grid = []
     for idx, (label, r) in enumerate(ordered):
         if idx:

@@ -21,13 +21,14 @@ Which kind a system uses follows from its spec alone (see
 
 A vector of exact scalars of one field also has an integer-row form (see
 ``int_row``): int lists X, Y over one least denominator D > 0, entry j being
-(X[j] + Y[j]*rho)/D.  The exact simplex pivots on it, and the root order
-and the witness read-back compare on it, with no scalar arithmetic.
+(X[j] + Y[j]*rho)/D.  The exact simplex pivots on it, and the witness
+read-back compares on it, with no scalar arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, lcm
 
 
@@ -483,6 +484,24 @@ def sgn(x):
     if isinstance(x, (QuadExt, Approx)):
         return x.sign()
     return _qsign(x)
+
+
+def sorted_runs(items, key):
+    """The items in ascending order of ``key(item)`` under ``sgn`` of
+    differences, as runs of items whose keys ``sgn`` calls equal.
+
+    Each run keeps the input order.  A run grows while an item ties with
+    the run's first member; on Approx this takes ties to be transitive,
+    which holds when distinct values differ by more than 2*epsilon.
+    """
+    ordered = sorted(items, key=cmp_to_key(lambda a, b: sgn(key(a) - key(b))))
+    runs = []
+    for item in ordered:
+        if runs and not sgn(key(item) - key(runs[-1][0])):
+            runs[-1].append(item)
+        else:
+            runs.append([item])
+    return runs
 
 
 def near_tie(x):

@@ -34,9 +34,13 @@ from .exactfield import (
     zero_like,
 )
 
-# largest dihedral m accepted: RootPoset fills its order masks by m^2 pairwise
-# Approx sign tests, 1.1-1.3 s of `classify I2:400`'s 2.4-3.0 s (2-CPU Xeon)
+# largest dihedral m accepted: `classify I2:400` takes 1.3-1.6 s (2-CPU Xeon),
+# about 1.1 s of it in the Approx witness LPs its report reads, 0.02 s in
+# RootPoset
 MAX_DIHEDRAL_M = 400
+# largest digit count and decimal exponent of a ratio: its Fraction then has
+# at most 2001 digits, below Python's 4300-digit limit on printing an int
+MAX_RATIO_DIGITS = 1000
 
 
 class OddRatioNotOne(ValueError):
@@ -120,6 +124,15 @@ def parse_spec(text):
                 raise ValueError(f"sin(k)/sin(l) needs 1 <= k, l <= {m - 1}")
             ratio = ("sin", k, l)
         else:
+            # Fraction would expand the exponent before any check, and a
+            # label over 4300 digits would not print
+            digits = sum(ch.isdigit() for ch in body)
+            exponent = re.search(r"[eE][+-]?([\d_]+)", body)
+            if digits > MAX_RATIO_DIGITS or exponent and int(
+                    exponent.group(1).replace("_", "")) > MAX_RATIO_DIGITS:
+                raise ValueError(f"a ratio takes at most {MAX_RATIO_DIGITS} "
+                                 f"digits and an exponent of at most "
+                                 f"{MAX_RATIO_DIGITS}")
             try:
                 ratio = Q(body)
             except ZeroDivisionError:
@@ -257,10 +270,8 @@ def _gram_matrix(row):
     except TagMismatch:
         one = Approx(1)
     if isinstance(one, Approx):
-        # every cosine from mpmath, the exact ones too, as Approx always took them
-        mpmath = load_mpmath()
         lengths = [Approx(as_mpf(l)) for l in lengths]
-        cos = {m: Approx(mpmath.cos(mpmath.pi / m)) for m in cos}
+        cos = {m: Approx(as_mpf(c)) for m, c in cos.items()}
     lengths = [one * l for l in lengths]
     cos = {m: one * c for m, c in cos.items()}
     return [tuple(lengths[i] * lengths[i] if i == j

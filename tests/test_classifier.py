@@ -330,11 +330,11 @@ def test_sweep_accepts_both_ends_of_its_range(monkeypatch):
 
 
 def test_default_grid_sorted():
-    grid = default_ratio_grid(4)
-    from catalanregions.exactfield import as_mpf
-    values = [float(as_mpf(r)) for _, r in grid]
-    assert values == sorted(values)
-    assert values[0] > 0
+    # strictly increasing in the ratios' own comparison, ties merged
+    for m in range(2, 41, 2):
+        values = [r for _, r in default_ratio_grid(m)]
+        assert sgn(values[0]) > 0
+        assert all(sgn(b - a) > 0 for a, b in zip(values, values[1:])), m
 
 
 @pytest.mark.parametrize("m", [2, 4, 6])

@@ -18,7 +18,7 @@ from catalanregions.cli import (
     verify_report,
 )
 from catalanregions.rootposet import RootPoset
-from catalanregions.rootsystem import build, parse_spec
+from catalanregions.rootsystem import MAX_RATIO_DIGITS, build, parse_spec
 from helpers import matches_reference_report
 
 
@@ -226,6 +226,17 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_classify_bounds_the_ratio_before_the_census(capsys, monkeypatch):
+    code, out, _ = run(capsys, "classify", f"I2:4:r=1e{MAX_RATIO_DIGITS}",
+                       "--format", "text")
+    assert code == 0 and "bijection holds" in out
+    # the label of 10**5000 would not print; the spec fails before any work
+    monkeypatch.setattr(cli, "classify_system",
+                        lambda spec: pytest.fail("the census ran"))
+    code, out, err = run(capsys, "classify", "I2:4:r=1e5000")
+    assert code == 2 and out == "" and str(MAX_RATIO_DIGITS) in err
 
 
 def test_catalan_command(capsys):

@@ -25,6 +25,7 @@ from catalanregions.exactfield import (
     scalar_from_json,
     scalar_to_json,
     sgn,
+    sorted_runs,
     sqrt2,
     sqrt3,
     tau,
@@ -163,6 +164,33 @@ def test_approx_precision_survives_negation():
     assert abs((Approx(1) / 3 * 3 - 1).v) < mpmath.mpf("1e-55")
 
 
+@pytest.mark.parametrize("make", [
+    lambda a, b: Q(a + 2 * b, 3),
+    lambda a, b: tau(Q(a, 3), b),
+    lambda a, b: sqrt2(a, Q(b, 2)),
+], ids=["rational", "tau", "sqrt2"])
+def test_sorted_runs_sorts_and_keeps_ties_in_input_order(make):
+    rng = random.Random(7)
+    # the same value made again from a fresh object, so ties are frequent
+    pairs = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(60)]
+    items = [(n, make(a, b)) for n, (a, b) in enumerate(pairs)]
+    runs = sorted_runs(items, key=lambda it: it[1])
+    assert sorted(it for run in runs for it in run) == items
+    assert len(runs) == len({v for _, v in items})
+    for run in runs:
+        assert all(v == run[0][1] for _, v in run)
+        assert [n for n, _ in run] == sorted(n for n, _ in run)
+    assert all(sgn(b[0][1] - a[0][1]) > 0 for a, b in zip(runs, runs[1:]))
+
+
+def test_sorted_runs_join_approx_values_within_the_tolerance():
+    one = Approx(1)
+    near, far = one + Approx("1e-40"), one + Approx("1e-20")
+    runs = sorted_runs([far, near, one], key=lambda x: x)
+    assert [list(map(id, run)) for run in runs] == [[id(near), id(one)],
+                                                      [id(far)]]
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -195,6 +223,10 @@ for entry in doc["antichains"]:
         assert witness_sign_type(poset, v) == ideal
         read += 1
 assert read == 413
+# the exact sweeps build, sort and classify their grids exactly too
+from catalanregions.classifier import sweep_ratio
+sweep_ratio(4)
+sweep_ratio(6)
 assert "mpmath" not in sys.modules
 """)
 

@@ -160,6 +160,20 @@ def test_to_dot(h3_poset):
     assert dot.startswith("digraph")
     assert "b1 " in dot and "->" in dot
     assert "style=dashed" in dot
+    # I2(4) has both kinds of cover, numbered from 1
+    assert _poset("I2:4").to_dot() == "\n".join([
+        "digraph rootposet {",
+        "  rankdir=BT;",
+        '  b1 [label="1"];',
+        '  b2 [label="2"];',
+        '  b3 [label="3"];',
+        '  b4 [label="4"];',
+        "  b1 -> b3 [style=dashed];",
+        "  b1 -> b4;",
+        "  b2 -> b3;",
+        "  b2 -> b4 [style=dashed];",
+        "}",
+    ])
 
 
 def test_h3_restriction_of_h4(h3_poset, h4_poset):
@@ -169,6 +183,13 @@ def test_h3_restriction_of_h4(h3_poset, h4_poset):
     assert len(sub) == 15
     h3_coeffs = {r.coeffs for r in h3_poset.system.positives}
     assert {r.coeffs[:3] for r in sub} == h3_coeffs
+
+
+def test_i2_7_has_a_tie_within_the_tolerance():
+    # two coefficients that sgn calls equal although their mpf values differ,
+    # so the order build must put them in one run; I2:2-60 below checks it
+    coeffs = [c for r in _poset("I2:7").system.positives for c in r.coeffs]
+    assert any(sgn(a - b) == 0 and a.v != b.v for a in coeffs for b in coeffs)
 
 
 ORACLE_SYSTEMS = {

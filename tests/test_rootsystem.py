@@ -15,11 +15,14 @@ from catalanregions.exactfield import (
 )
 from catalanregions.rootsystem import (
     MAX_DIHEDRAL_M,
+    MAX_RATIO_DIGITS,
     ClosureOverflow,
+    CoxeterType,
     NonPositiveRatio,
     OddRatioNotOne,
     SystemSpec,
     _gram_matrix,
+    _path,
     _resolve_ratio,
     build,
     coxeter_type,
@@ -113,6 +116,27 @@ def test_parse_spec_grammar():
                 "I2:8:r=sin(1)/sin(8)", "I2:6:r=1/0"):
         with pytest.raises(ValueError):
             parse_spec(bad)
+
+
+def test_ratio_size_is_bounded():
+    # Fraction would expand 10**5000 and 10**1000000000 before any check
+    for text in ("1e5000", f"1e{MAX_RATIO_DIGITS + 1}", "1e1_000_000_000",
+                 "1" * (MAX_RATIO_DIGITS + 1), "1e1000000000"):
+        with pytest.raises(ValueError, match=str(MAX_RATIO_DIGITS)):
+            parse_spec(f"I2:4:r={text}")
+    big = parse_spec(f"I2:4:r=1e{MAX_RATIO_DIGITS}")
+    assert big.ratio == 10**MAX_RATIO_DIGITS
+    assert parse_spec(f"I2:4:r=1e-{MAX_RATIO_DIGITS}").label()
+
+
+def test_approx_gram_takes_the_table_cosines(monkeypatch):
+    # an Approx length moves a rank-3 path to Approx; its unjoined pair has
+    # cos(pi/2) = 0 from the table, where mpmath's cos gives about 6e-62
+    monkeypatch.setitem(rootsystem.COXETER_TYPES, "A3", CoxeterType(
+        _path(3, 3), (1, 1, Approx(1)), (1, 2, 3)))
+    rs = build(parse_spec("A3"))
+    assert rs.field == "approx" and len(rs.positives) == 6
+    assert rs.gram[0][2].v == 0 and rs.gram[2][0].v == 0
 
 
 def test_ratio_validation():

@@ -16,7 +16,7 @@ from catalanregions.exactfield import sqrt2
 from catalanregions.feasibility import witness_sign_type
 from catalanregions.rootposet import RootPoset
 from catalanregions.rootsystem import CoxeterType, _path, build, parse_spec
-from helpers import witness_sign_type_reference
+from helpers import RootPosetReference, witness_sign_type_reference
 
 LONG = sqrt2(0, 1)  # long roots of B_n and F4; short roots have length 1
 
@@ -72,6 +72,10 @@ def test_weyl_census_matches_theorems(monkeypatch, name):
     roots, cat, cat_positive = WEYL_COUNTS[name]
     assert len(rs.positives) == roots
     poset = RootPoset(rs)
+    # the per-coordinate runs hold many ties here; compare every pair
+    ref = RootPosetReference(rs)
+    assert all(poset.leq(i, j) == ref.leq(i, j)
+               for i in range(poset.size) for j in range(poset.size))
     report = classify_all(poset)
     assert report.antichain_total == cat
     assert report.region_count == cat and not report.empty_list

@@ -127,12 +127,12 @@ def classify_all(poset):
     good_count = sum(1 for v in maximal_verdicts if v.good)
 
     # a good maximal antichain M certifies the regions of the increasing
-    # sets I(M) minus any subset of M; collect their generating antichains
+    # sets I(M) minus any subset of M; collect their masks
     propagated = set()
     for v in maximal_verdicts:
         if v.good:
-            full = poset.ideal(v.antichain)
-            propagated.update(poset.minimals(full.difference(drop))
+            top = poset.ideal_mask(v.antichain)
+            propagated.update(top & ~sum(1 << i for i in drop)
                               for drop in _subsets(v.antichain))
 
     degenerate_flags = [
@@ -142,7 +142,7 @@ def classify_all(poset):
     verdicts = []
     empty_list = []
     for a in antichains:
-        if a in propagated:
+        if poset.ideal_mask(a) in propagated:
             # its witness LP runs only if someone reads v.witness
             verdict = RegionVerdict(a, "NonEmpty", method="Propagated",
                                     bounded=bounded(poset, a), poset=poset)

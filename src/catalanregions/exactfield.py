@@ -17,7 +17,8 @@ Three kinds of scalar coexist (never mixed within one computation):
   imported only then, through ``load_mpmath``.
 
 Which kind a system uses follows from its spec alone (see
-``rootsystem.build``); nothing selects it at run time.
+``rootsystem.build``); nothing selects it at run time.  Scalars are ordered
+through ``sgn`` of a difference alone; QuadExt and Approx define no ``<``.
 
 A vector of exact scalars of one field also has an integer-row form (see
 ``int_row``): int lists X, Y over one least denominator D > 0, entry j being
@@ -295,18 +296,6 @@ class QuadExt:
             return hash(Fraction(self.x, self.d))
         return hash((self.x, self.y, self.d, self.rel[2]))
 
-    def __lt__(self, other):
-        return (self - other).sign() < 0
-
-    def __le__(self, other):
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        return (self - other).sign() >= 0
-
     def __bool__(self):
         return self.x != 0 or self.y != 0
 
@@ -448,18 +437,6 @@ class Approx:
         if o is None:
             return NotImplemented
         return not (self - o)
-
-    def __lt__(self, other):
-        return (self - other).sign() < 0
-
-    def __le__(self, other):
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        return (self - other).sign() >= 0
 
     def __bool__(self):
         return self.sign() != 0

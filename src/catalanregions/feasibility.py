@@ -46,7 +46,7 @@ from .exactfield import (
     quad_sign,
     sgn,
 )
-from .rootposet import _mask
+from .rootposet import _extremes
 from .rootsystem import evaluate
 
 
@@ -573,9 +573,9 @@ def int_c(poset, antichain):
             if sg == 0:
                 continue
             bound = (zero - at(g, h)) / h[t]
-            if sg > 0 and (lo is None or bound > lo):
+            if sg > 0 and (lo is None or sgn(bound - lo) > 0):
                 lo = bound
-            elif sg < 0 and (hi is None or bound < hi):
+            elif sg < 0 and (hi is None or sgn(bound - hi) < 0):
                 hi = bound
         s[t] = lo + one if hi is None else (lo + hi) / 2
     return FeasibilityResult(
@@ -584,7 +584,7 @@ def int_c(poset, antichain):
 
 def region_system(poset, antichain):
     rs = poset.system
-    icmax = poset.complement_maximals(poset.ideal(antichain))
+    icmax = _extremes(poset._full & ~poset.ideal_mask(antichain), poset._up)
     sys = LinearSystem(
         rs.rank,
         strict_ge=[(rs.positives[i].coeffs, rs.one) for i in antichain]
@@ -683,7 +683,7 @@ def bounded(poset, antichain):
     A recession direction d >= 0 has (d|gamma) <= 0 for gamma outside I(A),
     so d vanishes on supp(gamma): the region is bounded iff that forces d = 0.
     """
-    inside = _mask(poset.ideal(antichain))
+    inside = poset.ideal_mask(antichain)
     return all(support & ~inside for support in poset.supports)
 
 

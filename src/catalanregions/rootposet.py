@@ -1,10 +1,13 @@
 """The root order on the positive roots, its antichains and increasing sets.
 
 Roots are referred to by their canonical position (0-based index into
-``RootSystem.positives``).  Antichains are sorted tuples of indices,
-increasing sets are frozensets.  Bit j of the int ``_up[i]`` (``_down[i]``)
-is set when root j lies above (below) root i, i included, and bit j of
-``supports[s]`` when the s-th simple coefficient of root j is positive.
+``RootSystem.positives``).  Antichains are sorted tuples of indices, and a
+set of roots is an int mask, bit j standing for root j.  Bit j of ``_up[i]``
+(``_down[i]``) is set when root j lies above (below) root i, i included,
+and bit j of ``supports[s]`` when the s-th simple coefficient of root j is
+positive.  The enumeration of the antichains maps each antichain A to the
+mask of its increasing set I(A), the OR of ``_up`` over A; the census reads
+those masks, and only ``ideal`` turns one into a frozenset.
 
 The order is the intersection of one total preorder per simple coordinate,
 so the masks are filled from ``exactfield.sorted_runs`` of the roots in each
@@ -26,17 +29,16 @@ class NotAntichain(ValueError):
     pass
 
 
-class NotIncreasing(ValueError):
-    pass
-
-
 def _mask(roots):
     return sum(1 << i for i in set(roots))
 
 
 def _bits(mask):
     """The set bits of ``mask``, ascending."""
-    return [i for i, b in enumerate(reversed(bin(mask))) if b == "1"]
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _extremes(s, beyond):
@@ -72,7 +74,7 @@ class RootPoset:
         self.supports = [_mask(i for i, c in enumerate(coeffs) if sgn(c[s]) > 0)
                          for s in range(system.rank)]
         self._hasse = None
-        self._antichains = None
+        self._ideals = None
 
     def leq(self, i, j):
         return bool(self._up[i] >> j & 1)
@@ -80,55 +82,45 @@ class RootPoset:
     def comparable(self, i, j):
         return bool((self._up[i] | self._down[i]) >> j & 1)
 
-    # -- antichain / increasing-set primitives ------------------------------
-
-    def minimals(self, roots):
-        return _extremes(_mask(roots), self._down)
-
-    def maximals(self, roots):
-        return _extremes(_mask(roots), self._up)
-
     def is_antichain(self, roots):
         roots = tuple(roots)  # a repeated root is not maximal twice
-        return len(self.maximals(roots)) == len(roots)
-
-    def is_increasing(self, roots):
-        s = _mask(roots)
-        return all(not self._up[i] & ~s for i in _bits(s))
-
-    def ideal(self, antichain):
-        """The increasing set generated by an antichain."""
-        if not self.is_antichain(antichain):
-            raise NotAntichain(f"{antichain} is not an antichain")
-        s = 0
-        for i in antichain:
-            s |= self._up[i]
-        return frozenset(_bits(s))
-
-    def complement_maximals(self, increasing):
-        """The antichain I^c_max for an upward-closed I."""
-        if not self.is_increasing(increasing):
-            raise NotIncreasing(f"{set(increasing)} is not upward closed")
-        return _extremes(self._full & ~_mask(increasing), self._up)
+        return len(_extremes(_mask(roots), self._up)) == len(roots)
 
     # -- enumeration ---------------------------------------------------------
 
-    def antichains(self):
-        """All antichains (the empty one included), canonically ordered."""
-        if self._antichains is None:
+    def _ideal_masks(self):
+        """Every antichain, canonically ordered, mapped to the mask of its
+        increasing set."""
+        if self._ideals is None:
             found = []
 
-            def extend(current, candidates):
-                found.append(current)
+            def extend(current, ideal, candidates):
+                found.append((current, ideal))
                 for i in _bits(candidates):
                     candidates ^= 1 << i  # only later roots may join i
-                    extend(current + (i,),
+                    extend(current + (i,), ideal | self._up[i],
                            candidates & ~(self._up[i] | self._down[i]))
 
-            extend((), self._full)
-            found.sort(key=lambda a: (len(a), a))
-            self._antichains = found
-        return self._antichains
+            extend((), 0, self._full)
+            found.sort(key=lambda entry: (len(entry[0]), entry[0]))
+            self._ideals = dict(found)
+        return self._ideals
+
+    def antichains(self):
+        """All antichains (the empty one included), canonically ordered."""
+        return list(self._ideal_masks())
+
+    def ideal_mask(self, antichain):
+        """The mask of the increasing set generated by an antichain, given
+        in any order; NotAntichain for any other set of roots."""
+        try:
+            return self._ideal_masks()[tuple(sorted(antichain))]
+        except KeyError:
+            raise NotAntichain(f"{antichain} is not an antichain") from None
+
+    def ideal(self, antichain):
+        """The increasing set generated by an antichain."""
+        return frozenset(_bits(self.ideal_mask(antichain)))
 
     def maximal_antichains(self):
         """Antichains maximal under set inclusion: comparable to every root."""

@@ -31,7 +31,7 @@ from catalanregions.feasibility import (
     check_farkas,
     lp_max,
 )
-from catalanregions.rootposet import NotAntichain, NotIncreasing
+from catalanregions.rootposet import NotAntichain
 from catalanregions.rootsystem import (
     ClosureOverflow,
     Root,
@@ -196,14 +196,20 @@ def brute_force_antichains(poset):
 
 
 def brute_force_increasing_sets(poset):
-    """All upward-closed subsets by filtering every subset."""
+    """All upward-closed subsets by filtering every subset with the
+    pairwise oracle's ``is_increasing``."""
+    ref = RootPosetReference(poset.system)
     n = poset.size
     out = set()
     for mask in range(1 << n):
         members = frozenset(i for i in range(n) if mask >> i & 1)
-        if poset.is_increasing(members):
+        if ref.is_increasing(members):
             out.add(members)
     return out
+
+
+class NotIncreasing(ValueError):
+    pass
 
 
 class RootPosetReference:
@@ -211,7 +217,9 @@ class RootPosetReference:
 
     It fills ``_leq`` pairwise, scans it in every query, lists incomparable
     roots for the antichain search and finds the Hasse covers by an O(n^3)
-    transitive reduction.
+    transitive reduction.  Its set queries (``minimals``, ``maximals``,
+    ``is_increasing`` and ``complement_maximals``) have no counterpart in
+    RootPoset, whose census reads increasing sets as masks.
     """
 
     def __init__(self, system):
@@ -342,16 +350,17 @@ def random_chamber_point(rng, rank, one):
                  for _ in range(rank))
 
 
-def bounded_lp(poset, antichain):
+def bounded_lp(ref, antichain):
     """Boundedness by LP: is the region's recession cone in the chamber {0}?
 
     Maximises sum(d) over d >= 0 with (d|gamma) <= 0 for gamma in I^c_max
-    and sum(d) <= 1; the cone is trivial iff the optimum is zero.
+    and sum(d) <= 1; the cone is trivial iff the optimum is zero.  ``ref``
+    is a RootPosetReference, which finds I^c_max.
     """
-    rs = poset.system
+    rs = ref.system
     zero, one = rs.zero, rs.one
     n = rs.rank
-    icmax = poset.complement_maximals(poset.ideal(antichain))
+    icmax = ref.complement_maximals(ref.ideal(antichain))
     rows = [(rs.positives[i].coeffs, zero) for i in icmax]
     rows.append(([one] * n, one))
     status, _, _, opt = lp_max(n, [one] * n, rows, zero, one)

@@ -35,10 +35,11 @@ from catalanregions.feasibility import (
     solve,
     witness_sign_type,
 )
-from catalanregions.rootposet import RootPoset
+from catalanregions.rootposet import NotAntichain, RootPoset
 from catalanregions.rootsystem import SystemSpec, build, evaluate, parse_spec
 from helpers import (
     REGION_SPECS,
+    RootPosetReference,
     bounded_lp,
     int_c_lp,
     lp_max_reference,
@@ -299,7 +300,7 @@ def test_int_c_pair_equivalence_h3(h3_poset):
 
 def test_int_c_simple_roots_h3(h3_poset):
     rs = h3_poset.system
-    minimal = h3_poset.minimals(range(h3_poset.size))
+    minimal = RootPosetReference(rs).minimals(range(h3_poset.size))
     res = int_c(h3_poset, minimal)
     assert res.status == "Feasible"
     for i in minimal:
@@ -482,10 +483,18 @@ def test_witness_sign_type_rejects_wrong_length_and_foreign_fields(h3_poset):
 
 def test_bounded_h3(h3_poset):
     p = h3_poset
-    simples = set(p.minimals(range(p.size)))
+    simples = set(RootPosetReference(p.system).minimals(range(p.size)))
     for a in p.antichains():
         # bounded exactly when the antichain avoids the minimal (simple) roots
         assert bounded(p, a) == (not set(a) & simples)
+    # the ideal mask is looked up, and a chain or a repeated root misses
+    chain = next((i, j) for i in range(p.size) for j in range(p.size)
+                 if i != j and p.leq(i, j))
+    for bad in (chain, (0, 0)):
+        with pytest.raises(NotAntichain):
+            bounded(p, bad)
+        with pytest.raises(NotAntichain):
+            region_system(p, bad)
 
 
 @pytest.mark.parametrize("label,via_region_status", [
@@ -499,6 +508,7 @@ def test_bounded_matches_recession_lp(label, via_region_status):
     # whose antichain holds a simple root, so boundedness must read the
     # coefficient supports, not the antichain alone
     p = RootPoset(build(parse_spec(label)))
+    ref = RootPosetReference(p.system)
     for a in p.antichains():
         if via_region_status:
             verdict = region_status(p, a)
@@ -508,7 +518,7 @@ def test_bounded_matches_recession_lp(label, via_region_status):
             got = verdict.bounded
         else:
             got = bounded(p, a)
-        assert got == bounded_lp(p, a), a
+        assert got == bounded_lp(ref, a), a
 
 
 def test_order_certificates_on_h4_empties(h4_report, h4_poset):
@@ -549,7 +559,7 @@ def test_order_certificate_members_come_from_region(h4_report, h4_poset):
     for v in h4_report.verdicts:
         if v.status != "Empty":
             continue
-        icmax = h4_poset.complement_maximals(h4_poset.ideal(v.antichain))
+        _, icmax = region_system(h4_poset, v.antichain)
         assert {i for i, _ in v.certificate.lower} <= set(v.antichain)
         assert {i for i, _ in v.certificate.upper} <= set(icmax)
 
@@ -558,7 +568,7 @@ def test_order_certificate_none_on_nonempty_regions(h3_poset):
     # a convex comparison refutes its region, so a nonempty one has none
     p = h3_poset
     for a in p.antichains():
-        icmax = p.complement_maximals(p.ideal(a))
+        _, icmax = region_system(p, a)
         assert feasibility.order_certificate(p, a, icmax) is None, a
     # one root on both sides compares equal, never strictly
     assert feasibility.order_certificate(p, (0,), (0,)) is None

@@ -4,9 +4,11 @@ import pytest
 
 from catalanregions.classifier import default_ratio_grid
 from catalanregions.exactfield import sgn
-from catalanregions.rootposet import NotAntichain, NotIncreasing, RootPoset
+from catalanregions.feasibility import region_system
+from catalanregions.rootposet import NotAntichain, RootPoset
 from catalanregions.rootsystem import SystemSpec, build, evaluate, parse_spec
 from helpers import (
+    NotIncreasing,
     RootPosetReference,
     brute_force_antichains,
     brute_force_increasing_sets,
@@ -69,25 +71,28 @@ def test_order_is_monotone_on_chamber_points(h3_poset):
 
 
 def test_ideal_round_trip(h3_poset):
-    p = h3_poset
+    p, ref = h3_poset, RootPosetReference(h3_poset.system)
     for a in p.antichains():
         ideal = p.ideal(a)
-        assert p.is_increasing(ideal)
-        assert p.minimals(ideal) == a
-        comp = p.complement_maximals(ideal)
+        assert p.ideal(a[::-1]) == ideal
+        assert ref.is_increasing(ideal)
+        assert ref.minimals(ideal) == a
+        comp = ref.complement_maximals(ideal)
         assert p.is_antichain(comp)
         assert not (set(comp) & ideal)
 
 
 def test_ideal_minus_minimal_subset_is_increasing(h3_poset):
-    p = h3_poset
+    p, ref = h3_poset, RootPosetReference(h3_poset.system)
     for a in p.antichains():
         if not a:
             continue
         ideal = p.ideal(a)
         reduced = ideal - {a[0]}
-        assert p.is_increasing(reduced)
-        assert a[0] in p.complement_maximals(reduced)
+        assert ref.is_increasing(reduced)
+        assert a[0] in ref.complement_maximals(reduced)
+        # propagation reads the reduced set as the ideal of another antichain
+        assert p.ideal(ref.minimals(reduced)) == reduced
 
 
 def test_bad_inputs_raise(h3_poset):
@@ -102,8 +107,13 @@ def test_bad_inputs_raise(h3_poset):
             break
     with pytest.raises(NotAntichain):
         p.ideal(chain)
+    # a repeated root and a root that does not exist miss the lookup too
+    for bad in (chain, (0, 0), (p.size,)):
+        with pytest.raises(NotAntichain):
+            p.ideal_mask(bad)
+    ref = RootPosetReference(p.system)
     with pytest.raises(NotIncreasing):
-        p.complement_maximals({chain[1]} if p.leq(chain[1], chain[0]) else {chain[0]})
+        ref.complement_maximals({chain[0]})
 
 
 def test_maximal_antichains(h3_poset):
@@ -223,23 +233,20 @@ def test_masks_match_pairwise_oracle(group):
         for s, support in enumerate(p.supports):
             assert support == sum(1 << i for i, r in enumerate(rs.positives)
                                   if sgn(r.coeffs[s]) != 0)
-        # the oracle's set queries scan pairs of roots: on I2:400 every
-        # fifth antichain (all sizes occur) keeps this test to seconds
+        for a in antichains:
+            ideal = ref.ideal(a)
+            assert p.ideal_mask(a) == sum(1 << i for i in ideal)
+            assert p.ideal(a) == ideal
+        # the oracle's complement_maximals scans pairs of roots: on I2:400
+        # every fifth antichain (all sizes occur) keeps this test to seconds
         for a in antichains[::5 if group == "I2:400" else 1]:
             assert p.is_antichain(a) and ref.is_antichain(a)
             # a repeated root makes a non-empty antichain fail
             twice = a + a[:1]
             assert p.is_antichain(twice) == ref.is_antichain(twice) == (not a)
-            ideal = p.ideal(a)
-            assert ideal == ref.ideal(a)
-            # the ideal, its complement and the ideal without its top root
-            # cover both answers of is_increasing
-            rest = frozenset(range(n)) - ideal
-            for s in (ideal, rest, ideal - {max(ideal, default=0)}):
-                assert p.minimals(s) == ref.minimals(s)
-                assert p.maximals(s) == ref.maximals(s)
-                assert p.is_increasing(s) == ref.is_increasing(s)
-            assert p.complement_maximals(ideal) == ref.complement_maximals(ideal)
+            # I^c_max as the region system reads it
+            _, icmax = region_system(p, a)
+            assert icmax == ref.complement_maximals(ref.ideal(a))
         if group != "I2:400":  # the O(n^3) oracle; the CLI pins cover it
             assert p.hasse() == ref.hasse()
 

@@ -1,3 +1,5 @@
+import re
+
 import mpmath
 import pytest
 
@@ -116,6 +118,8 @@ def test_parse_spec_grammar():
                 "I2:8:r=sin(1)/sin(8)", "I2:6:r=1/0"):
         with pytest.raises(ValueError):
             parse_spec(bad)
+    with pytest.raises(ValueError, match=re.escape("1 <= k, l <= 5")):
+        parse_spec("I2:6:r=sin(6)/sin(1)")
 
 
 def test_ratio_size_is_bounded():
@@ -126,6 +130,8 @@ def test_ratio_size_is_bounded():
             parse_spec(f"I2:4:r={text}")
     big = parse_spec(f"I2:4:r=1e{MAX_RATIO_DIGITS}")
     assert big.ratio == 10**MAX_RATIO_DIGITS
+    assert parse_spec(f"I2:4:r={'1' * MAX_RATIO_DIGITS}").ratio \
+        == (10**MAX_RATIO_DIGITS - 1) // 9
     assert parse_spec(f"I2:4:r=1e-{MAX_RATIO_DIGITS}").label()
 
 
@@ -203,6 +209,15 @@ def test_evaluate_is_dot_product():
     assert is_zero(evaluate(x, r) - manual)
     with pytest.raises(ValueError):
         evaluate((rs.one,), r)
+
+
+def test_inner_rejects_a_vector_of_the_wrong_length():
+    rs = build(parse_spec("H3"))
+    x, short = (rs.one, rs.zero, rs.zero), (rs.one, rs.zero)
+    assert rs.inner(x, x) == rs.gram[0][0]
+    for u, w in ((short, x), (x, short)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            rs.inner(u, w)
 
 
 def test_orbits():

@@ -87,4 +87,4 @@ def test_weyl_census_matches_theorems(monkeypatch, name):
     for v in report.verdicts:
         assert (witness_sign_type(poset, v.witness)
                 == witness_sign_type_reference(poset, v.witness)
-                == poset.ideal(v.antichain))
+                == poset.ideal(v.antichain) == ref.ideal(v.antichain))

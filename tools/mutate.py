@@ -57,12 +57,13 @@ EQUIVALENT = {
     ("feasibility.py", "if sq >= 0:", "GtE -> Gt"):
         "a row with a zero s_t coefficient pairs into a positive multiple of "
         "itself, after the row itself, so no bound or refutation changes",
-    ("feasibility.py", "if sg > 0 and (lo is None or bound > lo):",
+    ("feasibility.py", "if sg > 0 and (lo is None or sgn(bound - lo) > 0):",
      "Gt -> GtE"): "a zero sign has continued above, and an "
         "equal bound leaves lo as it is",
-    ("feasibility.py", "elif sg < 0 and (hi is None or bound < hi):",
-     "Lt -> LtE"): "a zero sign has continued above, and an "
-        "equal bound leaves hi as it is",
+    ("feasibility.py",
+     "elif sg < 0 and (hi is None or sgn(bound - hi) < 0):", "Lt -> LtE"):
+        "a zero sign has continued above, and an equal bound leaves hi as it "
+        "is",
     ("feasibility.py", "sel = [one if j in idx else zero for j in range(nv)]",
      "In -> NotIn"): "the complement of one side's columns is the other "
         "side's, so the two sum rows only swap places; the H4 report keeps "

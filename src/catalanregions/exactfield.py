@@ -523,9 +523,16 @@ def as_mpf(x):
     return load_mpmath().mpf(int(x.numerator)) / int(x.denominator)
 
 
+def _ratio_str(num, den):
+    """str(Fraction(num, den)) for ints with den > 0, without the Fraction."""
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
 def scalar_to_json(x):
     if isinstance(x, QuadExt):
-        return {"a": str(x.a), "b": str(x.b), "field": x.rel[2]}
+        return {"a": _ratio_str(x.x, x.d), "b": _ratio_str(x.y, x.d),
+                "field": x.rel[2]}
     if isinstance(x, Approx):
         return {"value": load_mpmath().nstr(x.v, 40), "field": "approx"}
     return {"a": str(x), "field": "rational"}

@@ -2,25 +2,29 @@
 
 Int_C(A), the chamber points at level one on an antichain, is decided by
 elimination: row reduction of the equalities, then Fourier-Motzkin over the
-at most rank - 1 null-space parameters, which yields an exact witness or
-the Farkas multipliers of a refutation.  Regions mix many strict rows and
-go through the LP engine in the chamber coordinates v >= 0 themselves,
-maximising a uniform slack t (capped at 1): the open polyhedron is nonempty
-iff the optimum t* is positive.  On failure the simplex duals give a Farkas
-certificate, once the chamber rows v_i > 0 absorb what they leave on v; for
-empty dominant regions a second LP searches for the more readable root-order
-certificate (a convex comparison between the two antichains bounding the
-region).
+at most rank - 1 null-space parameters, which yields an exact witness or a
+refutation.  The elimination carries no multipliers; only a refutation runs
+it again with them, to read off its Farkas certificate.  Regions mix many
+strict rows and go through the LP engine in the chamber coordinates v >= 0
+themselves, maximising a uniform slack t (capped at 1): the open polyhedron
+is nonempty iff the optimum t* is positive.  An empty dominant region first
+tries a second LP for the more readable root-order certificate (a convex
+comparison between the two antichains bounding the region); only when there
+is none do the region LP's duals become a Farkas certificate, once the
+chamber rows v_i > 0 absorb what they leave on v.
 
 On an exact field the simplex tableau holds ints, not scalars: a row is
 integer numerators X, Y over one positive row denominator D, entry j being
 (X[j] + Y[j]*rho)/D with rho**2 = p*rho + q (p = q = 0 and Y = 0 for
 rationals).  Pivots multiply by conjugates over norms, signs use the
-quadratic sign rule that ``QuadExt.sign`` uses, and only the results become
-scalars.  Approx rows stay lists of scalars; one Bland driver runs both.
-``exactfield.int_row`` defines the row format, and the same rows serve the
-read-back: ``witness_sign_type`` signs each (v|beta) - 1 on the witness's
-row and the poset's root rows, with no scalar arithmetic.
+quadratic sign rule that ``QuadExt.sign`` uses, and only the values read
+back become scalars.  Approx rows stay lists of scalars; one Bland driver,
+``lp_max``, runs both.  ``exactfield.int_row`` defines the row format.  The
+region LP's tableau is written in its final form from the poset's integer
+root rows (the roots' coefficient tuples on Approx), with no scalar
+arithmetic, and the same root rows serve the read-back:
+``witness_sign_type`` signs each (v|beta) - 1 on the witness's row and the
+root rows.
 
 The census solves a region LP only for the antichains that no good maximal
 antichain covers: on H4, 28 decision LPs and 16 certificates.  A propagated
@@ -62,49 +66,23 @@ class EmptyAntichain(ValueError):
 # core simplex: max c.x  s.t.  A x <= b,  x >= 0
 # ---------------------------------------------------------------------------
 
-def lp_max(n, objective, rows, zero, one):
-    """Two-phase tableau simplex with Bland's anti-cycling rule.
+def lp_max(tab):
+    """Two-phase tableau simplex with Bland's anti-cycling rule, in place.
 
-    rows: list of (coeffs, rhs) meaning coeffs . x <= rhs.
-    Returns (status, x, duals, optimum); status is "optimal", "unbounded" or
-    "infeasible".  At an optimum the duals are for the rows as given and
-    nonnegative.  "infeasible" means the rows admit no x >= 0 at all; its
-    duals are the phase-1 duals, a Farkas combination (lambda >= 0,
-    lambda^T A >= 0, lambda^T b < 0), and x and optimum are None.  All three
-    are None when the LP is unbounded.
+    ``tab`` is an assembled tableau (``tableau`` or the region LP's
+    ``_region_tableau``): m constraint rows, each with its starting basic
+    column in ``tab.basis``, then the objective row and, when there are
+    artificial columns, the phase-1 row.  Returns "optimal", "unbounded" or
+    "infeasible", where "infeasible" means the rows admit no x >= 0 at all.
+    The tableau then reads back only what its caller asks for: ``x`` and
+    ``duals`` at an optimum, the phase-1 ``duals`` (a Farkas combination)
+    after "infeasible".
 
     Exact fields pivot on integer rows (``_IntRows``), Approx on scalar rows
     (``_ScalarRows``); both take the same pivots, so the results are the
     canonical scalars a scalar tableau would reach.
     """
-    m = len(rows)
-    for coeffs, _ in rows:
-        if len(coeffs) != n:
-            raise DimensionMismatch("row length != n")
-
-    # columns: n structural, m slacks, one artificial per row with a
-    # negative rhs (that row is negated), then the rhs
-    flipped = [sgn(rhs) < 0 for _, rhs in rows]
-    arts = set(range(n + m, n + m + sum(flipped)))
-    total = n + m + len(arts)
-    storage = _ScalarRows if isinstance(zero, Approx) else _IntRows
-    tab = storage(zero, one, total)
-    basis = []
-    art = n + m
-    for i, ((coeffs, rhs), neg) in enumerate(zip(rows, flipped)):
-        if neg:
-            tab.append(coeffs, rhs, -1, {n + i: -1, art: 1})
-            basis.append(art)
-            art += 1
-        else:
-            tab.append(coeffs, rhs, 1, {n + i: 1})
-            basis.append(n + i)
-    # objective rows hold the reduced costs of the current basis.  No
-    # starting basic column has a phase-2 cost; phase 1 maximises
-    # -sum(artificials), which prices out as the sum of the flipped rows.
-    tab.append(objective, zero, 1, {})
-    if arts:
-        tab.append_sum([i for i, neg in enumerate(flipped) if neg], arts)
+    m, total, basis, arts = tab.m, tab.total, tab.basis, tab.arts
     in_basis = set(basis)
 
     def pivot(r, c):
@@ -139,12 +117,11 @@ def lp_max(n, objective, rows, zero, one):
 
     if arts:
         run_phase(banned=())
-        phase1 = tab.rows.pop()
-        if tab.sign(phase1, total):
+        if tab.sign(tab.rows[-1], total):
             # the phase-1 optimum leaves sum(artificials) > 0: even the weak
-            # system is empty, and the phase-1 duals certify it
-            duals = [zero - tab.value(phase1, n + i) for i in range(m)]
-            return "infeasible", None, duals, None
+            # system is empty, and the phase-1 row prices the duals
+            return "infeasible"
+        tab.rows.pop()
         # drive remaining zero-valued artificials out of the basis
         for i in range(m):
             if basis[i] in arts:
@@ -154,34 +131,94 @@ def lp_max(n, objective, rows, zero, one):
                         break
 
     if not run_phase(banned=arts):
-        return "unbounded", None, None, None
-    red = tab.rows[-1]
-    x = [zero] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = tab.value(tab.rows[i], total)
-    # multiplier on row i (as given) is -reduced_cost(slack_i), for flipped
-    # rows included: the slack column carries the flip sign already
-    duals = [zero - tab.value(red, n + i) for i in range(m)]
-    opt = sum((cj * x[j] for j, cj in enumerate(objective)), zero)
-    return "optimal", x, duals, opt
+        return "unbounded"
+    return "optimal"
 
 
-class _ScalarRows:
+def tableau(n, objective, rows, zero, one):
+    """The tableau of max objective.x s.t. rows, x >= 0, for ``lp_max``.
+
+    rows: list of (coeffs, rhs) meaning coeffs . x <= rhs.  Columns: n
+    structural, m slacks, one artificial per row with a negative rhs (that
+    row is negated), then the rhs.
+    """
+    m = len(rows)
+    for coeffs, _ in rows:
+        if len(coeffs) != n:
+            raise DimensionMismatch("row length != n")
+    flipped = [sgn(rhs) < 0 for _, rhs in rows]
+    storage = _ScalarRows if isinstance(zero, Approx) else _IntRows
+    tab = storage(n, m, sum(flipped), zero, one)
+    art = n + m
+    for i, ((coeffs, rhs), neg) in enumerate(zip(rows, flipped)):
+        if neg:
+            tab.append(coeffs, rhs, -1, {n + i: -1, art: 1})
+            tab.basis.append(art)
+            art += 1
+        else:
+            tab.append(coeffs, rhs, 1, {n + i: 1})
+            tab.basis.append(n + i)
+    tab.append(objective, zero, 1, {})
+    if tab.arts:
+        tab.append_sum([i for i, neg in enumerate(flipped) if neg], tab.arts)
+    return tab
+
+
+class _Tableau:
+    """Rows, basis and columns of a tableau; the storages supply the rows.
+
+    ``rows`` holds the m constraint rows, then the objective row, whose
+    entries are the reduced costs of the current basis, then the phase-1 row
+    while there are artificial columns.  Columns: n structural, m slacks,
+    the artificials, then the rhs at ``total``.  No starting basic column
+    has a phase-2 cost, and phase 1 maximises -sum(artificials), which
+    prices out as the sum of the flipped rows (``append_sum``).
+    """
+
+    def __init__(self, n, m, arts, zero, one):
+        self.n, self.m, self.zero, self.one = n, m, zero, one
+        self.total = n + m + arts
+        self.arts = set(range(n + m, self.total))
+        self.rows, self.basis = [], []
+
+    def x(self):
+        """The structural values of the current basic solution."""
+        x = [self.zero] * self.n
+        for row, bi in zip(self.rows, self.basis):
+            if bi < self.n:
+                x[bi] = self.value(row, self.total)
+        return x
+
+    def duals(self):
+        """Multipliers of the rows as given, from the last row's reduced costs.
+
+        At an optimum they price the objective and are nonnegative; after
+        "infeasible" they are the phase-1 duals, a Farkas combination
+        (lambda >= 0, lambda^T A >= 0, lambda^T b < 0).  The multiplier of
+        row i is -reduced_cost(slack_i), for flipped rows included: the
+        slack column carries the flip sign already.
+        """
+        red, zero = self.rows[-1], self.zero
+        return [zero - self.value(red, self.n + i) for i in range(self.m)]
+
+
+class _ScalarRows(_Tableau):
     """Tableau rows as lists of scalars, for the Approx backend."""
-
-    def __init__(self, zero, one, total):
-        self.zero, self.one, self.total = zero, one, total
-        self.rows = []
 
     def append(self, coeffs, rhs, s, units):
         """Row s*(coeffs | rhs) with the unit entries ``units`` (column -> +-1)."""
-        zero, one, total = self.zero, self.one, self.total
-        row = [zero] * (total + 1)
-        row[:len(coeffs)] = coeffs if s > 0 else [-c for c in coeffs]
+        self.append_root(coeffs if s > 0 else [-c for c in coeffs], units)
+        self.rows[-1][self.total] = rhs if s > 0 else -rhs
+
+    def append_root(self, root, units):
+        """Row with a root's coefficients (a scalar tuple, or None for none)
+        in its first columns and the entries ``units`` (column -> +-1)."""
+        zero, one = self.zero, self.one
+        row = [zero] * (self.total + 1)
+        if root is not None:
+            row[:len(root)] = root
         for j, u in units.items():
             row[j] = one if u > 0 else -one
-        row[total] = rhs if s > 0 else -rhs
         self.rows.append(row)
 
     def append_sum(self, indices, zeroed):
@@ -218,7 +255,7 @@ class _ScalarRows:
                 row[j] -= f * prow[j]
 
 
-class _IntRows:
+class _IntRows(_Tableau):
     """Exact tableau rows as ints, for rationals and the quadratic fields.
 
     A row is ``[X, Y, D]``: two int lists over one int D > 0, so entry j is
@@ -228,18 +265,26 @@ class _IntRows:
     of the row and entries grow no faster than the values they stand for.
     """
 
-    def __init__(self, zero, one, total):
+    def __init__(self, n, m, arts, zero, one):
+        super().__init__(n, m, arts, zero, one)
         self.rel = zero.rel if isinstance(zero, QuadExt) else None
         self.p, self.q = self.rel[:2] if self.rel else (0, 0)
-        self.total = total
-        self.rows = []
 
     def append(self, coeffs, rhs, s, units):
         """Row s*(coeffs | rhs) with the unit entries ``units`` (column -> +-1)."""
         x, y, d = int_row([*coeffs, rhs], self.rel)
-        pad = [0] * (self.total - len(coeffs))
-        X = [s * v for v in x[:-1]] + pad + [s * x[-1]]
-        Y = [s * v for v in y[:-1]] + pad + [s * y[-1]]
+        self.append_root(([s * v for v in x[:-1]], [s * v for v in y[:-1]], d),
+                         units)
+        X, Y, _ = self.rows[-1]
+        X[self.total], Y[self.total] = s * x[-1], s * y[-1]
+
+    def append_root(self, root, units):
+        """Row with a root's coefficients (an integer row (A, B, E) in lowest
+        terms, or None for none) in its first columns, over E, and the
+        entries ``units`` (column -> +-1) as +-E."""
+        a, b, d = root if root is not None else ((), (), 1)
+        X, Y = [0] * (self.total + 1), [0] * (self.total + 1)
+        X[:len(a)], Y[:len(b)] = a, b
         for j, u in units.items():
             X[j] = u * d
         self.rows.append([X, Y, d])
@@ -335,7 +380,7 @@ def _lowest(X, Y, d):
 
 
 # ---------------------------------------------------------------------------
-# strict systems via the uniform-slack LP
+# strict systems and their Farkas certificates
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -351,43 +396,7 @@ class FeasibilityResult:
     status: str                  # "Feasible" | "Infeasible" | "Degenerate"
     witness: tuple | None = None
     farkas: dict | None = None   # {"ge": [...], "le": [...], "eq": [...]}
-
-
-def solve(sys, zero, one):
-    """Decide a region system: strict rows in the chamber coordinates v.
-
-    The system holds the chamber rows v_i > 0 among its strict_ge rows, so
-    v >= 0 is given and v itself is the LP's nonnegative columns, next to a
-    uniform margin t (capped at 1) maximised over the strict rows.  Raises
-    ValueError on equalities or on a missing chamber row.
-    """
-    if sys.equalities:
-        raise ValueError("solve takes strict rows only")
-    n = sys.n
-    chamber = [sys.strict_ge.index(row) for row in _chamber_rows(n, zero, one)]
-    rows = [([zero - c for c in a] + [one], zero - b) for a, b in sys.strict_ge]
-    rows += [(list(a) + [one], b) for a, b in sys.strict_le]
-    rows.append(([zero] * n + [one], one))
-    status, x, duals, opt = lp_max(n + 1, [zero] * n + [one], rows, zero, one)
-    if status == "unbounded":  # t is capped, so never reached
-        raise RuntimeError("slack LP unbounded")
-
-    # opt is None when even the weak (closed) system is empty
-    if opt is not None:
-        if near_tie(opt):
-            return FeasibilityResult("Degenerate")
-        if sgn(opt) > 0:
-            return FeasibilityResult("Feasible", witness=tuple(x[:n]))
-
-    # the duals combine the rows into 0 > c0 >= 0 up to a remainder r >= 0
-    # on v, which the chamber rows v_i > 0 absorb
-    ge = len(sys.strict_ge)
-    lam_ge = duals[:ge]
-    for i, k in enumerate(chamber):
-        lam_ge[k] += sum((y * a[i] for y, (a, _) in zip(duals, rows)), zero)
-    cert = {"ge": lam_ge, "le": duals[ge:-1], "eq": []}
-    check_farkas(sys, cert, zero)
-    return FeasibilityResult("Infeasible", farkas=cert)
+    duals: list | None = None    # a refuting region LP's row multipliers
 
 
 def check_farkas(sys, cert, zero):
@@ -468,33 +477,48 @@ def int_c(poset, antichain):
 
     Row reduction solves the equalities as v = v0 + N s over the null-space
     parameters s, and drops consistent dependent rows; an inconsistent one
-    is refuted by its row combination alone.  The chamber rows v_i > 0 then
-    become strict rows in s, and Fourier-Motzkin elimination removes one
-    parameter at a time, each row carrying its nonnegative multipliers over
-    the chamber rows.  A final constant <= 0 makes those multipliers a
-    Farkas certificate; otherwise back-substitution through the open
-    intervals of each level gives an exact witness.
+    refutes the equalities.  The chamber rows v_i > 0 then become strict
+    rows in s, and Fourier-Motzkin elimination removes one parameter at a
+    time.  A final constant <= 0 refutes Int_C; otherwise back-substitution
+    through the open intervals of each level gives an exact witness.  The
+    elimination decides without multipliers, and only a refutation runs it
+    again with them, to read off its Farkas certificate.
     """
     if not antichain:
         raise EmptyAntichain("int_c needs a nonempty antichain")
     rs = poset.system
+    return (_int_c(rs, antichain, certify=False)
+            or _int_c(rs, antichain, certify=True))
+
+
+def _int_c(rs, antichain, certify):
+    """``int_c``'s elimination; a refutation returns None unless ``certify``.
+
+    With ``certify`` each row carries its multipliers as trailing columns,
+    which the row operations update with the rest of the row: over the
+    equalities during row reduction, over the chamber rows during
+    Fourier-Motzkin.  The decision and the witness do not read them.
+    """
     zero, one = rs.zero, rs.one
     n, k = rs.rank, len(antichain)
-    sys = LinearSystem(
-        n,
-        equalities=[(rs.positives[i].coeffs, one) for i in antichain],
-        strict_ge=_chamber_rows(n, zero, one),
-    )
+
+    def unit(i, size):
+        return [one if j == i else zero for j in range(size)] if certify else []
 
     def refuted(lam, mu):
+        sys = LinearSystem(
+            n,
+            equalities=[(rs.positives[i].coeffs, one) for i in antichain],
+            strict_ge=_chamber_rows(n, zero, one),
+        )
         cert = {"ge": lam, "le": [], "eq": mu}
         check_farkas(sys, cert, zero)
         return FeasibilityResult("Infeasible", farkas=cert)
 
-    # reduced row echelon form of [B | 1]; combos[r] writes row r as a
+    # reduced row echelon form of [B | 1]; row r continues with its
     # combination of the equalities as given
-    rows = [list(a) + [b] for a, b in sys.equalities]
-    combos = [[one if j == i else zero for j in range(k)] for i in range(k)]
+    rows = [[*rs.positives[b].coeffs, one, *unit(i, k)]
+            for i, b in enumerate(antichain)]
     pivots = []
     for col in range(n):
         r = len(pivots)
@@ -502,60 +526,62 @@ def int_c(poset, antichain):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        combos[r], combos[piv] = combos[piv], combos[r]
         inv = one / rows[r][col]
         rows[r] = [x * inv for x in rows[r]]
-        combos[r] = [x * inv for x in combos[r]]
         for i in range(k):
             f = rows[i][col]
             if i != r and not is_zero(f):
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-                combos[i] = [x - f * y for x, y in zip(combos[i], combos[r])]
         pivots.append(col)
-    for row, combo in zip(rows[len(pivots):], combos[len(pivots):]):
+    for row in rows[len(pivots):]:
         # the row reads 0 = row[n]; a nonzero constant refutes the equalities
         if not is_zero(row[n]):
+            if not certify:
+                return None
+            combo = row[n + 1:]
             if sgn(row[n]) < 0:
                 combo = [zero - x for x in combo]
             return refuted([zero] * n, combo)
 
-    # chamber row i as (g, h, lam): g + h.s > 0, lam its chamber multipliers
+    # chamber row i as [g, *h]: g + h.s > 0, with h[t] at index 1 + t; in
+    # the levels it continues with its chamber multipliers
     free = [c for c in range(n) if c not in pivots]
     chamber = [None] * n
     for t, c in enumerate(free):
-        chamber[c] = (zero, [one if u == t else zero for u in range(len(free))])
+        chamber[c] = [zero, *(one if u == t else zero for u in range(len(free)))]
     for r, c in enumerate(pivots):
-        chamber[c] = (rows[r][n], [zero - rows[r][f] for f in free])
-    level = [(g, h, [one if j == i else zero for j in range(n)])
-             for i, (g, h) in enumerate(chamber)]
+        chamber[c] = [rows[r][n], *(zero - rows[r][f] for f in free)]
+    level = [[*row, *unit(i, n)] for i, row in enumerate(chamber)]
 
     levels = []
-    for t in range(len(free)):
+    for t in range(1, len(free) + 1):
         levels.append(level)
-        signs = [sgn(h[t]) for _, h, _ in level]
+        signs = [sgn(row[t]) for row in level]
         nxt = [row for row, sg in zip(level, signs) if sg == 0]
-        for (gp, hp, lp), sp in zip(level, signs):
+        for p, sp in zip(level, signs):
             if sp <= 0:
                 continue
-            for (gq, hq, lq), sq in zip(level, signs):
+            for q, sq in zip(level, signs):
                 if sq >= 0:
                     continue
                 # positive weights a, b cancel the s_t coefficient
-                a, b = zero - hq[t], hp[t]
-                nxt.append((a * gp + b * gq,
-                            [a * x + b * y for x, y in zip(hp, hq)],
-                            [a * x + b * y for x, y in zip(lp, lq)]))
+                a, b = zero - q[t], p[t]
+                nxt.append([a * x + b * y for x, y in zip(p, q)])
         level = nxt
 
-    for g, _, lam in level:
+    for row in level:
+        g = row[0]
         if sgn(g) <= 0 and not near_tie(g):
+            if not certify:
+                return None
             # sum(lam_i v_i) is the constant g on the equalities' solution
             # set, so it equals sum(nu_k beta_k) with sum(nu_k) = g
+            lam = row[1 + len(free):]
             mu = [zero] * k
             for r, c in enumerate(pivots):
-                mu = [y - lam[c] * x for y, x in zip(mu, combos[r])]
+                mu = [y - lam[c] * x for y, x in zip(mu, rows[r][n + 1:])]
             return refuted(lam, mu)
-    if any(near_tie(g) for g, _, _ in level):
+    if any(near_tie(row[0]) for row in level):
         return FeasibilityResult("Degenerate")
 
     # back-substitute: each level bounds its parameter by open intervals,
@@ -563,28 +589,34 @@ def int_c(poset, antichain):
     # s_t is chosen, it and the parameters eliminated before it are zero.
     s = [zero] * len(free)
 
-    def at(g, h):
-        return sum((x * y for x, y in zip(h, s)), g)
+    def at(row):
+        return sum((x * y for x, y in zip(row[1:], s)), row[0])
 
     for t in reversed(range(len(free))):
         lo = hi = None
-        for g, h, _ in levels[t]:
-            sg = sgn(h[t])
+        for row in levels[t]:
+            h = row[1 + t]
+            sg = sgn(h)
             if sg == 0:
                 continue
-            bound = (zero - at(g, h)) / h[t]
+            bound = (zero - at(row)) / h
             if sg > 0 and (lo is None or sgn(bound - lo) > 0):
                 lo = bound
             elif sg < 0 and (hi is None or sgn(bound - hi) < 0):
                 hi = bound
         s[t] = lo + one if hi is None else (lo + hi) / 2
     return FeasibilityResult(
-        "Feasible", witness=tuple(at(g, h) for g, h in chamber))
+        "Feasible", witness=tuple(at(row) for row in chamber))
+
+
+def _icmax(poset, antichain):
+    """I^c_max: the maximal roots outside the increasing set of an antichain."""
+    return _extremes(poset._full & ~poset.ideal_mask(antichain), poset._up)
 
 
 def region_system(poset, antichain):
     rs = poset.system
-    icmax = _extremes(poset._full & ~poset.ideal_mask(antichain), poset._up)
+    icmax = _icmax(poset, antichain)
     sys = LinearSystem(
         rs.rank,
         strict_ge=[(rs.positives[i].coeffs, rs.one) for i in antichain]
@@ -594,13 +626,93 @@ def region_system(poset, antichain):
     return sys, icmax
 
 
+def _region_tableau(poset, antichain, icmax):
+    """The region LP's tableau, written in its final form from the root rows.
+
+    The LP maximises a margin t over the chamber coordinates v >= 0:
+    (beta|v) - t >= 1 for beta in the antichain, t - v_s <= 0 for the
+    chamber rows v_s > 0, (gamma|v) + t <= 1 for gamma in I^c_max, and
+    t <= 1.  Columns are v, t, one slack per row, one artificial per beta,
+    then the rhs, and each beta row is stored negated, as ``tableau`` stores
+    a row with a negative rhs.  On an exact field a root's entries are its
+    integer row (A, B, E) in ``poset.rows``, so the row of beta is A with
+    -E at t and at its slack and E at its artificial and the rhs, over E;
+    Approx takes the roots' coefficient tuples.
+    """
+    rs = poset.system
+    n, k = rs.rank, len(antichain)
+    m = k + n + len(icmax) + 1
+    t, slack, rhs = n, n + 1, n + 1 + m + k
+    if poset.rows is None:
+        tab = _ScalarRows(n + 1, m, k, rs.zero, rs.one)
+        roots = {i: rs.positives[i].coeffs for i in (*antichain, *icmax)}
+    else:
+        tab = _IntRows(n + 1, m, k, rs.zero, rs.one)
+        roots = poset.rows
+    for i, b in enumerate(antichain):
+        art = slack + m + i
+        tab.append_root(roots[b], {t: -1, slack + i: -1, art: 1, rhs: 1})
+        tab.basis.append(art)
+    for s in range(n):
+        tab.append_root(None, {s: -1, t: 1, slack + k + s: 1})
+    for i, g in enumerate(icmax):
+        tab.append_root(roots[g], {t: 1, slack + k + n + i: 1, rhs: 1})
+    tab.append_root(None, {t: 1, slack + m - 1: 1, rhs: 1})
+    tab.basis += range(slack + k, slack + m)
+    tab.append_root(None, {t: 1})
+    if k:
+        tab.append_sum(range(k), tab.arts)
+    return tab
+
+
+def _region_lp(poset, antichain, icmax):
+    """Solve the region LP: Feasible with a witness when the optimal margin
+    t* is positive, Degenerate on an Approx near tie, otherwise Infeasible
+    with the LP's duals (the phase-1 duals when even the closed region is
+    empty)."""
+    tab = _region_tableau(poset, antichain, icmax)
+    status = lp_max(tab)
+    if status == "unbounded":  # t is capped, so never reached
+        raise RuntimeError("slack LP unbounded")
+    if status == "optimal":
+        n = poset.system.rank
+        x = tab.x()
+        if near_tie(x[n]):
+            return FeasibilityResult("Degenerate")
+        if sgn(x[n]) > 0:
+            return FeasibilityResult("Feasible", witness=tuple(x[:n]))
+    return FeasibilityResult("Infeasible", duals=tab.duals())
+
+
+def _farkas_certificate(poset, antichain, duals):
+    """The region LP's duals as a Farkas certificate of ``region_system``.
+
+    The duals combine the LP's rows into 0 > c0 >= 0 up to a remainder
+    r >= 0 on v, which the chamber rows v_i > 0 absorb.  The certificate is
+    re-checked before it is returned.
+    """
+    zero = poset.system.zero
+    sys, _ = region_system(poset, antichain)
+    ge, k = len(sys.strict_ge), len(antichain)
+    # the LP's rows on v: a > b enters as -a, a < b as a, and the cap as 0
+    rows = [[zero - c for c in a] for a, _ in sys.strict_ge]
+    rows += [a for a, _ in sys.strict_le]
+    lam_ge = duals[:ge]
+    for i in range(sys.n):
+        lam_ge[k + i] += sum((y * a[i] for y, a in zip(duals, rows)), zero)
+    cert = {"ge": lam_ge, "le": duals[ge:-1], "eq": []}
+    check_farkas(sys, cert, zero)
+    return cert
+
+
 def region_status(poset, antichain):
     """Decide emptiness of the dominant region of an antichain (maybe empty),
-    and the boundedness of a nonempty one."""
-    rs = poset.system
-    sys, icmax = region_system(poset, antichain)
-    res = solve(sys, rs.zero, rs.one)
-    verdict = RegionVerdict(tuple(antichain), "NonEmpty")
+    and the boundedness of a nonempty one.  An empty region carries an order
+    certificate when one exists, else the LP's Farkas certificate."""
+    antichain = tuple(antichain)
+    icmax = _icmax(poset, antichain)
+    res = _region_lp(poset, antichain, icmax)
+    verdict = RegionVerdict(antichain, "NonEmpty")
     if res.status == "Feasible":
         verdict.witness = res.witness
         verdict.bounded = bounded(poset, antichain)
@@ -608,12 +720,12 @@ def region_status(poset, antichain):
         verdict.status = "Degenerate"
     else:
         verdict.status = "Empty"
-        cert = order_certificate(poset, tuple(antichain), icmax)
+        cert = order_certificate(poset, antichain, icmax)
         if cert is None:
-            cert = res.farkas
+            cert = _farkas_certificate(poset, antichain, res.duals)
         elif not check_order_certificate(poset, cert):
             raise AssertionError(
-                f"order certificate of {tuple(antichain)} does not check")
+                f"order certificate of {antichain} does not check")
         verdict.certificate = cert
     return verdict
 
@@ -651,8 +763,11 @@ def order_certificate(poset, imin, icmax):
     for coeffs in diff_rows:
         objective = [o - c for o, c in zip(objective, coeffs)]
 
-    status, x, _, opt = lp_max(nv, objective, rows, zero, one)
-    if status != "optimal" or sgn(opt) <= 0:
+    tab = tableau(nv, objective, rows, zero, one)
+    if lp_max(tab) != "optimal":
+        return None
+    x = tab.x()
+    if sgn(sum((c * v for c, v in zip(objective, x)), zero)) <= 0:
         return None
     lower = [(i, x[j]) for j, i in enumerate(imin) if not is_zero(x[j])]
     upper = [(i, x[k + j]) for j, i in enumerate(icmax) if not is_zero(x[k + j])]

@@ -28,8 +28,11 @@ from catalanregions.feasibility import (
     FeasibilityResult,
     LinearSystem,
     _chamber_rows,
+    _int_c,
     check_farkas,
+    int_c,
     lp_max,
+    tableau,
 )
 from catalanregions.rootposet import NotAntichain
 from catalanregions.rootsystem import (
@@ -363,14 +366,82 @@ def bounded_lp(ref, antichain):
     icmax = ref.complement_maximals(ref.ideal(antichain))
     rows = [(rs.positives[i].coeffs, zero) for i in icmax]
     rows.append(([one] * n, one))
-    status, _, _, opt = lp_max(n, [one] * n, rows, zero, one)
+    status, _, _, opt = lp_solve(n, [one] * n, rows, zero, one)
     if status == "unbounded":
         return False
     return sgn(opt) == 0
 
 
+def lp_solve(n, objective, rows, zero, one):
+    """max objective.x s.t. rows, x >= 0, by feasibility.lp_max.
+
+    rows: list of (coeffs, rhs) meaning coeffs . x <= rhs.  Returns
+    (status, x, duals, optimum) like lp_max_reference: at an optimum the
+    duals are for the rows as given, after "infeasible" they are the
+    phase-1 duals and x and optimum are None, and all three are None when
+    the LP is unbounded.
+    """
+    tab = tableau(n, objective, rows, zero, one)
+    status = lp_max(tab)
+    if status == "unbounded":
+        return status, None, None, None
+    if status == "infeasible":
+        return status, None, tab.duals(), None
+    x = tab.x()
+    return (status, x, tab.duals(),
+            sum((c * v for c, v in zip(objective, x)), zero))
+
+
+def slack_lp(sys, zero, one):
+    """(columns, objective, rows) of the slack LP of a strict system: max t
+    over x >= 0 with (a|x) - t >= b for its strict_ge rows, (a|x) + t <= b
+    for its strict_le rows, and t <= 1, each row as a <= row."""
+    n = sys.n
+    rows = [([zero - c for c in a] + [one], zero - b) for a, b in sys.strict_ge]
+    rows += [(list(a) + [one], b) for a, b in sys.strict_le]
+    rows.append(([zero] * n + [one], one))
+    return n + 1, [zero] * n + [one], rows
+
+
+def solve(sys, zero, one):
+    """Oracle for the region LP: a strict system in the chamber coordinates v.
+
+    The system holds the chamber rows v_i > 0 among its strict_ge rows, so
+    v >= 0 is given and v itself is the LP's nonnegative columns, next to a
+    uniform margin t (capped at 1) maximised over the strict rows.  On
+    failure the duals, once the chamber rows absorb what they leave on v,
+    give a Farkas certificate.  Raises ValueError on equalities or on a
+    missing chamber row.
+    """
+    if sys.equalities:
+        raise ValueError("solve takes strict rows only")
+    n = sys.n
+    chamber = [sys.strict_ge.index(row) for row in _chamber_rows(n, zero, one)]
+    _, objective, rows = slack_lp(sys, zero, one)
+    status, x, duals, opt = lp_solve(n + 1, objective, rows, zero, one)
+    if status == "unbounded":  # t is capped, so never reached
+        raise RuntimeError("slack LP unbounded")
+
+    # opt is None when even the weak (closed) system is empty
+    if opt is not None:
+        if near_tie(opt):
+            return FeasibilityResult("Degenerate")
+        if sgn(opt) > 0:
+            return FeasibilityResult("Feasible", witness=tuple(x[:n]))
+
+    # the duals combine the rows into 0 > c0 >= 0 up to a remainder r >= 0
+    # on v, which the chamber rows v_i > 0 absorb
+    ge = len(sys.strict_ge)
+    lam_ge = duals[:ge]
+    for i, k in enumerate(chamber):
+        lam_ge[k] += sum((y * a[i] for y, (a, _) in zip(duals, rows)), zero)
+    cert = {"ge": lam_ge, "le": duals[ge:-1], "eq": []}
+    check_farkas(sys, cert, zero)
+    return FeasibilityResult("Infeasible", farkas=cert)
+
+
 def solve_reference(sys, zero, one):
-    """Oracle for feasibility.solve: the general strict/equality slack LP.
+    """Oracle for ``solve``: the general strict/equality slack LP.
 
     Free variables are split into positive and negative parts; a uniform
     margin t (capped at 1) is maximised over the strict constraints.
@@ -402,7 +473,7 @@ def solve_reference(sys, zero, one):
 
     objective = [zero] * nv
     objective[t_col] = one
-    status, x, duals, opt = lp_max(nv, objective, rows, zero, one)
+    status, x, duals, opt = lp_solve(nv, objective, rows, zero, one)
     if status == "unbounded":  # t is capped, so never reached
         raise RuntimeError("slack LP unbounded")
 
@@ -444,6 +515,21 @@ def int_c_lp(poset, antichain):
     return solve_reference(sys, rs.zero, rs.one)
 
 
+def int_c_matches_certified_run(poset, antichain):
+    """True iff ``int_c``, which carries multipliers only to certify a
+    refutation, gives the status, witness and certificate of the elimination
+    that carries them throughout.  Approx values compare bit for bit."""
+
+    def exact(res):
+        def bits(xs):
+            return xs and [x.v if isinstance(x, Approx) else x for x in xs]
+        farkas = res.farkas and {k: bits(v) for k, v in res.farkas.items()}
+        return res.status, bits(res.witness), farkas
+
+    return (exact(int_c(poset, antichain))
+            == exact(_int_c(poset.system, antichain, certify=True)))
+
+
 def bijection_lp(poset):
     """Int_C by LP on every nonempty antichain: (bad, degenerate) lists."""
     bad, degenerate = [], []
@@ -459,12 +545,12 @@ def bijection_lp(poset):
 
 
 def lp_max_reference(n, objective, rows, zero, one):
-    """Oracle for feasibility.lp_max: the earlier dense Bland simplex.
+    """Oracle for ``lp_solve``: the earlier dense Bland simplex.
 
     It keeps no objective row and recomputes every reduced cost from the
     basis on each iteration, and it updates every column on each pivot.
     rows: list of (coeffs, rhs) meaning coeffs . x <= rhs.
-    Returns (status, x, duals, optimum) like feasibility.lp_max.
+    Returns (status, x, duals, optimum) like lp_solve.
     """
     m = len(rows)
     for coeffs, _ in rows:

@@ -4,6 +4,7 @@ a traced benchmark run."""
 
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from catalanregions.classifier import default_ratio_grid
@@ -12,6 +13,8 @@ from catalanregions.exactfield import (
     as_mpf,
     scalar_from_json,
     scalar_to_json,
+    sqrt2,
+    tau,
 )
 from helpers import QuadExtReference, matches_reference_report
 
@@ -65,6 +68,17 @@ def test_kernel_operands_round_trip():
     assert len(docs) == 1280
     for doc in docs:
         assert scalar_to_json(scalar_from_json(doc)) == doc
+    # zero, negative, integral and large-denominator parts, each written
+    # as the str of its Fraction
+    big = Fraction(-(3 ** 80), 2 ** 70 * 5 ** 31)
+    for a, b in [(0, 0), (0, -1), (-7, 0), (12, -4), (Fraction(-3, 6), 0),
+                 (Fraction(5, 9), Fraction(-2, 3)), (big, 1 / big),
+                 (Fraction(10 ** 40, 3), -(10 ** 30))]:
+        for x in (tau(a, b), sqrt2(a, b)):
+            doc = scalar_to_json(x)
+            assert doc == {"a": str(Fraction(a)), "b": str(Fraction(b)),
+                           "field": x.rel[2]}
+            assert scalar_from_json(doc) == x
 
 
 def test_ratio_grid_values_match_reference_scalar(monkeypatch):

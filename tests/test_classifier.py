@@ -16,12 +16,12 @@ from catalanregions.classifier import (
     sign_type_consistency,
     sweep_ratio,
 )
-from catalanregions import classifier, cli, feasibility
+from catalanregions import (classifier, cli, exactfield, feasibility,
+                            rootposet)
 from catalanregions.exactfield import Approx, is_zero, scalar_to_json, sgn
 from catalanregions.feasibility import (
     FeasibilityResult,
     region_status,
-    region_system,
     witness_sign_type,
 )
 from catalanregions.rootposet import RootPoset
@@ -157,20 +157,65 @@ def test_lp_count_only_read_witnesses_solve(monkeypatch):
     assert len(calls) == 445
 
 
+def test_h4_census_builds_no_unread_certificate(monkeypatch):
+    # the region LPs' tableaux come from the root order's integer rows, and
+    # an empty region with an order certificate builds no Farkas certificate
+    calls, depth = Counter(), Counter()
+
+    def enters(key, real):
+        def run(*args, **kwargs):
+            depth[key] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                depth[key] -= 1
+        return run
+
+    def counts(key, real):
+        def run(*args, **kwargs):
+            calls[key] += 1
+            if key == "check_farkas" and depth["int_c"]:
+                calls["check_farkas in int_c"] += 1
+            if key == "int_row" and not (depth["init"] or depth["order"]):
+                calls["int_row elsewhere"] += 1
+            return real(*args, **kwargs)
+        return run
+
+    int_c = enters("int_c", feasibility.int_c)
+    monkeypatch.setattr(feasibility, "int_c", int_c)
+    monkeypatch.setattr(classifier, "int_c", int_c)
+    monkeypatch.setattr(feasibility, "order_certificate",
+                        enters("order", feasibility.order_certificate))
+    monkeypatch.setattr(RootPoset, "__init__",
+                        enters("init", RootPoset.__init__))
+    for name in ("lp_max", "check_farkas"):
+        monkeypatch.setattr(feasibility, name,
+                            counts(name, getattr(feasibility, name)))
+    int_row = counts("int_row", exactfield.int_row)
+    for module in (exactfield, feasibility, rootposet):
+        monkeypatch.setattr(module, "int_row", int_row)
+    cli.report_to_json(classify_system(parse_spec("H4")))
+    assert calls["lp_max"] == 445
+    # the 16 int_c refutations; the 16 empty regions carry order certificates
+    assert calls["check_farkas"] == calls["check_farkas in int_c"] == 16
+    assert calls["int_row"] and calls["int_row elsewhere"] == 0
+
+
 def test_refuted_propagated_witness_raises(h4_poset, monkeypatch):
     report = classify_all(h4_poset)
     pairs = [v for v in report.verdicts
              if v.method == "Propagated" and len(v.antichain) == 2]
     target, other = pairs[0], pairs[1]
-    refuted, _ = region_system(h4_poset, target.antichain)
-    solve = feasibility.solve
+    # the target's region LP finds no positive margin; a Degenerate verdict
+    # needs no certificate, so reading the witness reaches the disagreement
+    region_lp = feasibility._region_lp
 
-    def refute_one(sys, zero, one):
-        if sys == refuted:
-            return FeasibilityResult("Infeasible")
-        return solve(sys, zero, one)
+    def refute_one(poset, antichain, icmax):
+        if antichain == target.antichain:
+            return FeasibilityResult("Degenerate")
+        return region_lp(poset, antichain, icmax)
 
-    monkeypatch.setattr(feasibility, "solve", refute_one)
+    monkeypatch.setattr(feasibility, "_region_lp", refute_one)
     with pytest.raises(AssertionError, match=re.escape(str(target.antichain))):
         target.witness
     assert witness_sign_type(h4_poset, other.witness) == \

@@ -29,20 +29,24 @@ from catalanregions.feasibility import (
     check_farkas,
     check_order_certificate,
     int_c,
-    lp_max,
     region_status,
     region_system,
-    solve,
+    tableau,
     witness_sign_type,
 )
 from catalanregions.rootposet import NotAntichain, RootPoset
 from catalanregions.rootsystem import SystemSpec, build, evaluate, parse_spec
+import helpers
 from helpers import (
     REGION_SPECS,
     RootPosetReference,
     bounded_lp,
     int_c_lp,
+    int_c_matches_certified_run,
     lp_max_reference,
+    lp_solve,
+    slack_lp,
+    solve,
     solve_reference,
     witness_sign_type_reference,
 )
@@ -52,7 +56,7 @@ ZERO, ONE = Q(0), Q(1)
 
 def test_lp_max_basic():
     # max x + y s.t. x <= 2, y <= 3
-    status, x, duals, opt = lp_max(
+    status, x, duals, opt = lp_solve(
         2, [ONE, ONE], [((ONE, ZERO), Q(2)), ((ZERO, ONE), Q(3))], ZERO, ONE)
     assert status == "optimal"
     assert x == [Q(2), Q(3)] and opt == Q(5)
@@ -60,20 +64,20 @@ def test_lp_max_basic():
 
 
 def test_lp_max_unbounded():
-    status, *_ = lp_max(1, [ONE], [((Q(-1),), ZERO)], ZERO, ONE)
+    status, *_ = lp_solve(1, [ONE], [((Q(-1),), ZERO)], ZERO, ONE)
     assert status == "unbounded"
 
 
 def test_lp_max_negative_rhs():
     # x >= 1 (as -x <= -1), max -x -> x = 1
-    status, x, duals, opt = lp_max(1, [-ONE], [((Q(-1),), Q(-1))], ZERO, ONE)
+    status, x, duals, opt = lp_solve(1, [-ONE], [((Q(-1),), Q(-1))], ZERO, ONE)
     assert status == "optimal"
     assert x == [ONE] and opt == -ONE
 
 
 def test_lp_max_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        lp_max(2, [ONE, ONE], [((ONE,), ONE)], ZERO, ONE)
+        lp_solve(2, [ONE, ONE], [((ONE,), ONE)], ZERO, ONE)
 
 
 def random_lp(rng, scalar):
@@ -118,7 +122,7 @@ def test_lp_max_matches_reference(name):
     flipped = 0
     for _ in range(600):
         n, objective, rows = random_lp(rng, lambda: scalar(rng))
-        got = lp_max(n, objective, rows, zero, one)
+        got = lp_solve(n, objective, rows, zero, one)
         assert got == lp_max_reference(n, objective, rows, zero, one), rows
         statuses[got[0]] += 1
         flipped += any(sgn(rhs) < 0 for _, rhs in rows)
@@ -158,7 +162,7 @@ def test_lp_max_long_pivot_runs(monkeypatch):
             rows.append((coeffs, rhs))
         objective = [scalar() for _ in range(n)]
         pivots.append(0)
-        got = lp_max(n, objective, rows, zero, one)
+        got = lp_solve(n, objective, rows, zero, one)
         assert got == lp_max_reference(n, objective, rows, zero, one), rows
     assert max(pivots) >= 15
 
@@ -167,7 +171,7 @@ def test_lp_max_tied_ratio():
     # max x s.t. x <= 1 twice and 2x <= 2: all three ratios tie at 1, and
     # Bland's rule leaves on the row whose basic column is smallest
     rows = [((ONE,), ONE), ((ONE,), ONE), ((Q(2),), Q(2))]
-    got = lp_max(1, [ONE], rows, ZERO, ONE)
+    got = lp_solve(1, [ONE], rows, ZERO, ONE)
     assert got == lp_max_reference(1, [ONE], rows, ZERO, ONE)
     assert got == ("optimal", [ONE], [ONE, ZERO, ZERO], ONE)
 
@@ -175,35 +179,69 @@ def test_lp_max_tied_ratio():
 def test_lp_max_infeasible_duals_certify():
     # x >= 2 and x <= 1: the phase-1 duals combine the rows into 0 <= -1
     rows = [((Q(-1),), Q(-2)), ((ONE,), ONE)]
-    status, x, duals, opt = lp_max(1, [ONE], rows, ZERO, ONE)
+    status, x, duals, opt = lp_solve(1, [ONE], rows, ZERO, ONE)
     assert (status, x, opt) == ("infeasible", None, None)
     assert all(sgn(y) >= 0 for y in duals)
     assert sgn(sum((y * a[0] for y, (a, _) in zip(duals, rows)), ZERO)) >= 0
     assert sgn(sum((y * b for y, (_, b) in zip(duals, rows)), ZERO)) < 0
 
 
+# region_status's verdicts as the statuses of the LinearSystem oracles
+AS_SOLVED = {"NonEmpty": "Feasible", "Empty": "Infeasible",
+             "Degenerate": "Degenerate"}
+
+
 def test_solve_matches_reference_on_h3_regions(h3_poset, monkeypatch):
+    # the region LP, assembled from the root rows, against solve on the
+    # system's scalar rows over the dense reference simplex
+    monkeypatch.setattr(helpers, "lp_solve", lp_max_reference)
     rs = h3_poset.system
-    systems = [region_system(h3_poset, a)[0] for a in h3_poset.antichains()]
-    got = [solve(sys, rs.zero, rs.one) for sys in systems]
-    monkeypatch.setattr(feasibility, "lp_max", lp_max_reference)
-    assert got == [solve(sys, rs.zero, rs.one) for sys in systems]
+    for a in h3_poset.antichains():
+        v = region_status(h3_poset, a)
+        ref = solve(region_system(h3_poset, a)[0], rs.zero, rs.one)
+        assert (AS_SOLVED[v.status], v.witness) == (ref.status, ref.witness), a
 
 
 @pytest.mark.parametrize("group", sorted(REGION_SPECS))
-def test_solve_matches_solve_reference(group):
-    # the region LP in chamber coordinates against the free-variable LP
+def test_region_tableau_matches_generic_assembly(group):
+    # written from the root rows, the region LP's tableau holds the rows,
+    # columns and basis that tableau builds from the system's scalar rows
+    def entries(tab):
+        return [[x.v for x in row] if isinstance(row[0], Approx) else row
+                for row in tab.rows]
+
+    for spec in REGION_SPECS[group]:
+        p = RootPoset(build(spec))
+        rs = p.system
+        for a in p.antichains():
+            sys, icmax = region_system(p, a)
+            got = feasibility._region_tableau(p, a, icmax)
+            want = tableau(*slack_lp(sys, rs.zero, rs.one), rs.zero, rs.one)
+            assert type(got) is type(want), a
+            assert ((got.n, got.m, got.total, got.arts, got.basis)
+                    == (want.n, want.m, want.total, want.arts, want.basis)), a
+            assert entries(got) == entries(want), a
+
+
+@pytest.mark.parametrize("group", sorted(REGION_SPECS))
+def test_solve_matches_solve_reference(group, monkeypatch):
+    # the region LP in chamber coordinates against the free-variable LP;
+    # without order certificates every empty region keeps the LP's folded
+    # duals, which equal solve's and re-check
+    monkeypatch.setattr(feasibility, "order_certificate", lambda *args: None)
     infeasible = 0
     for spec in REGION_SPECS[group]:
         p = RootPoset(build(spec))
         rs = p.system
         for a in p.antichains():
             sys, _ = region_system(p, a)
-            res = solve(sys, rs.zero, rs.one)
+            v = region_status(p, a)
             ref = solve_reference(sys, rs.zero, rs.one)
-            assert (res.status, res.witness) == (ref.status, ref.witness), a
-            if res.status == "Infeasible":
-                assert check_farkas(sys, res.farkas, rs.zero)
+            assert ((AS_SOLVED[v.status], v.witness)
+                    == (ref.status, ref.witness)), a
+            if v.status == "Empty":
+                assert v.certificate == solve(sys, rs.zero, rs.one).farkas, a
+                assert check_farkas(sys, v.certificate, rs.zero)
                 infeasible += 1
     assert infeasible == (16 if group == "H4" else 0)
 
@@ -355,6 +393,19 @@ def test_int_c_matches_lp_oracle(label):
         assert statuses["Infeasible"] == 16
 
 
+@pytest.mark.parametrize("group", sorted(REGION_SPECS))
+def test_int_c_certifies_only_on_refutation(group):
+    # deciding without multipliers and replaying only a refutation with
+    # them changes no status, witness or certificate
+    refuted = 0
+    for spec in REGION_SPECS[group]:
+        p = RootPoset(build(spec))
+        for a in p.antichains()[1:]:
+            assert int_c_matches_certified_run(p, a), (spec, a)
+            refuted += int_c(p, a).status == "Infeasible"
+    assert refuted == (16 if group == "H4" else 0)
+
+
 @pytest.mark.parametrize("label", ["I2:7", "I2:12:r=sin(1)/sin(4)"])
 def test_int_c_near_ties_on_approx(label):
     # every root set up to the rank; a pair whose difference is a multiple
@@ -384,6 +435,7 @@ def test_int_c_rank_deficient(label, size, sample):
         res = int_c(p, a)
         assert res.status == int_c_lp(p, a).status == "Infeasible", a
         _assert_int_c_sound(p, a, res)
+        assert int_c_matches_certified_run(p, a), a
         branches[all(is_zero(x) for x in res.farkas["ge"])] += 1
     assert branches[True]
     if label == "H3":

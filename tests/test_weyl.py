@@ -16,7 +16,11 @@ from catalanregions.exactfield import sqrt2
 from catalanregions.feasibility import witness_sign_type
 from catalanregions.rootposet import RootPoset
 from catalanregions.rootsystem import CoxeterType, _path, build, parse_spec
-from helpers import RootPosetReference, witness_sign_type_reference
+from helpers import (
+    RootPosetReference,
+    int_c_matches_certified_run,
+    witness_sign_type_reference,
+)
 
 LONG = sqrt2(0, 1)  # long roots of B_n and F4; short roots have length 1
 
@@ -88,3 +92,12 @@ def test_weyl_census_matches_theorems(monkeypatch, name):
         assert (witness_sign_type(poset, v.witness)
                 == witness_sign_type_reference(poset, v.witness)
                 == poset.ideal(v.antichain) == ref.ideal(v.antichain))
+
+
+@pytest.mark.parametrize("name", sorted(WEYL_TYPES))
+def test_weyl_int_c_certifies_only_on_refutation(monkeypatch, name):
+    # every antichain is feasible here, so no run replays with multipliers
+    monkeypatch.setitem(rootsystem.COXETER_TYPES, name, WEYL_TYPES[name])
+    poset = RootPoset(build(parse_spec(name)))
+    for a in poset.antichains()[1:]:
+        assert int_c_matches_certified_run(poset, a), a

@@ -10,8 +10,10 @@ subprocess.  A mutant is killed when the tests fail, survives when they
 pass, and hangs when it outlives five times the unmutated run (at least
 30 s).  The flips are comparisons, ``& |``, ``+ -`` and ``and or``, outside
 annotations.  A survivor listed in EQUIVALENT is counted apart, so that a
-new survivor stands out.  See DeMillo, Lipton and Sayward, "Hints on test
-data selection", IEEE Computer 11 (1978).
+new survivor stands out; each entry names one site by its line and the
+flipped sub-expression, so two flips of one kind on a line stay apart.
+See DeMillo, Lipton and Sayward, "Hints on test data selection", IEEE
+Computer 11 (1978).
 """
 
 import ast
@@ -29,50 +31,58 @@ PAIRS = [(ast.Lt, ast.LtE), (ast.Gt, ast.GtE), (ast.Eq, ast.NotEq),
          (ast.Is, ast.IsNot), (ast.In, ast.NotIn), (ast.Add, ast.Sub),
          (ast.BitAnd, ast.BitOr), (ast.And, ast.Or)]
 FLIPS = {**dict(PAIRS), **{b: a for a, b in PAIRS}}
-# (module, stripped source line, flip) -> why no test can tell the mutant
+# (module, stripped source line, flip, flipped sub-expression) -> why no
+# test can tell the mutant
 EQUIVALENT = {
-    ("classifier.py", "if num % den or pnum % den:", "Or -> And"):
+    ("classifier.py", "if num % den or pnum % den:", "Or -> And",
+     "num % den or pnum % den"):
         "every row's Catalan products are integral, so neither test fires",
     ("classifier.py", 'if v.status != "NonEmpty" or v.witness is None:',
-     "Or -> And"): "a verdict has a witness exactly when it is NonEmpty",
+     "Or -> And", "v.status != 'NonEmpty' or v.witness is None"):
+        "a verdict has a witness exactly when it is NonEmpty",
     ("feasibility.py",
      "return frozenset(i for i, s in enumerate(signs) if s > 0)",
-     "Gt -> GtE"): "a zero sign has returned None on the line before",
+     "Gt -> GtE", "s > 0"):
+        "a zero sign has returned None on the line before",
     ("feasibility.py",
-     "row[:len(coeffs)] = coeffs if s > 0 else [-c for c in coeffs]",
-     "Gt -> GtE"): "lp_max passes s = 1 or s = -1, never 0",
-    ("feasibility.py", "row[total] = rhs if s > 0 else -rhs", "Gt -> GtE"):
-        "lp_max passes s = 1 or s = -1, never 0",
-    ("feasibility.py", "row[j] = one if u > 0 else -one", "Gt -> GtE"):
-        "lp_max passes unit entries 1 or -1, never 0",
-    ("feasibility.py", "if px < 0:", "Lt -> LtE"):
+     "self.append_root(coeffs if s > 0 else [-c for c in coeffs], units)",
+     "Gt -> GtE", "s > 0"): "tableau passes s = 1 or s = -1, never 0",
+    ("feasibility.py",
+     "self.rows[-1][self.total] = rhs if s > 0 else -rhs", "Gt -> GtE",
+     "s > 0"): "tableau passes s = 1 or s = -1, never 0",
+    ("feasibility.py", "row[j] = one if u > 0 else -one", "Gt -> GtE",
+     "u > 0"): "every assembly passes unit entries 1 or -1, never 0",
+    ("feasibility.py", "if px < 0:", "Lt -> LtE", "px < 0"):
         "a pivot entry is never zero",
-    ("feasibility.py", "if d < 0:", "Lt -> LtE"):
+    ("feasibility.py", "if d < 0:", "Lt -> LtE", "d < 0"):
         "the norm of a nonzero x + y*rho with y != 0 is never zero",
-    ("feasibility.py", "if sgn(row[n]) < 0:", "Lt -> LtE"):
+    ("feasibility.py", "if sgn(row[n]) < 0:", "Lt -> LtE", "sgn(row[n]) < 0"):
         "the line before has tested row[n] nonzero, with the tolerance sgn uses",
-    ("feasibility.py", "if sp <= 0:", "LtE -> Lt"):
+    ("feasibility.py", "if sp <= 0:", "LtE -> Lt", "sp <= 0"):
         "a row with a zero s_t coefficient pairs into a positive multiple of "
         "itself, after the row itself, so no bound or refutation changes",
-    ("feasibility.py", "if sq >= 0:", "GtE -> Gt"):
+    ("feasibility.py", "if sq >= 0:", "GtE -> Gt", "sq >= 0"):
         "a row with a zero s_t coefficient pairs into a positive multiple of "
         "itself, after the row itself, so no bound or refutation changes",
     ("feasibility.py", "if sg > 0 and (lo is None or sgn(bound - lo) > 0):",
-     "Gt -> GtE"): "a zero sign has continued above, and an "
-        "equal bound leaves lo as it is",
+     "Gt -> GtE", "sg > 0"): "a zero sign has continued above",
+    ("feasibility.py", "if sg > 0 and (lo is None or sgn(bound - lo) > 0):",
+     "Gt -> GtE", "sgn(bound - lo) > 0"): "an equal bound leaves lo as it is",
     ("feasibility.py",
-     "elif sg < 0 and (hi is None or sgn(bound - hi) < 0):", "Lt -> LtE"):
-        "a zero sign has continued above, and an equal bound leaves hi as it "
-        "is",
+     "elif sg < 0 and (hi is None or sgn(bound - hi) < 0):", "Lt -> LtE",
+     "sg < 0"): "a zero sign has continued above",
+    ("feasibility.py",
+     "elif sg < 0 and (hi is None or sgn(bound - hi) < 0):", "Lt -> LtE",
+     "sgn(bound - hi) < 0"): "an equal bound leaves hi as it is",
     ("feasibility.py", "sel = [one if j in idx else zero for j in range(nv)]",
-     "In -> NotIn"): "the complement of one side's columns is the other "
-        "side's, so the two sum rows only swap places; the H4 report keeps "
-        "its bytes",
+     "In -> NotIn", "j in idx"): "the complement of one side's columns is "
+        "the other side's, so the two sum rows only swap places; the H4 "
+        "report keeps its bytes",
     ("feasibility.py",
-     "if s > 0 or (s == 0 and basis[i] > basis[leave]):", "Gt -> GtE"):
-        "two rows never share a basic column; the flip of s > 0 on this line "
-        "is killed",
-    ("feasibility.py", "if not imin or not icmax:", "Or -> And"):
+     "if s > 0 or (s == 0 and basis[i] > basis[leave]):", "Gt -> GtE",
+     "basis[i] > basis[leave]"): "two rows never share a basic column",
+    ("feasibility.py", "if not imin or not icmax:", "Or -> And",
+     "not imin or not icmax"):
         "an empty side makes its convex-weight row read 0 = 1, so the LP is "
         "infeasible and None is returned all the same",
 }
@@ -98,9 +108,14 @@ def sites(tree):
 
 
 def mutant(source, k):
-    """The source with the k-th site flipped, and its (line, flip) label."""
+    """The source with the k-th site flipped, and its (line, flip, expr)
+    label: expr is the flipped sub-expression as it reads unmutated, with
+    the operator's position in a chained comparison."""
     tree = ast.parse(source)
     node, i = sites(tree)[k]
+    expr = ast.unparse(node)
+    if i is not None and len(node.ops) > 1:
+        expr += f" [{i}]"
     old = node.ops[i] if i is not None else node.op
     new = FLIPS[type(old)]()
     if i is None:
@@ -108,7 +123,7 @@ def mutant(source, k):
     else:
         node.ops[i] = new
     flip = f"{type(old).__name__} -> {type(new).__name__}"
-    return ast.unparse(tree), (node.lineno, flip)
+    return ast.unparse(tree), (node.lineno, flip, expr)
 
 
 def run_tests(work, tests, timeout):
@@ -143,16 +158,17 @@ def main(argv):
         timeout = max(30.0, 5 * (time.perf_counter() - start))
         counts = {"killed": 0, "survived": 0, "hung": 0, "equivalent": 0}
         for k in range(len(sites(ast.parse(source)))):
-            text, (line, flip) = mutant(source, k)
+            text, (line, flip, expr) = mutant(source, k)
             (work / module).write_text(text)
             outcome = run_tests(work, tests, timeout)
-            why = EQUIVALENT.get((module.name, lines[line - 1].strip(), flip))
+            why = EQUIVALENT.get(
+                (module.name, lines[line - 1].strip(), flip, expr))
             if outcome == "survived" and why:
                 outcome = "equivalent"
             counts[outcome] += 1
             if outcome != "killed":
                 note = f"  ({why})" if outcome == "equivalent" else ""
-                print(f"{outcome}: {module}:{line}: {flip}: "
+                print(f"{outcome}: {module}:{line}: {flip} in {expr}: "
                       f"{lines[line - 1].strip()}{note}", flush=True)
     print(f"{module}: {sum(counts.values())} mutants, "
           + ", ".join(f"{v} {k}" for k, v in counts.items()))

@@ -19,12 +19,12 @@ integer numerators X, Y over one positive row denominator D, entry j being
 rationals).  Pivots multiply by conjugates over norms, signs use the
 quadratic sign rule that ``QuadExt.sign`` uses, and only the values read
 back become scalars.  Approx rows stay lists of scalars; one Bland driver,
-``lp_max``, runs both.  ``exactfield.int_row`` defines the row format.  The
-region LP's tableau is written in its final form from the poset's integer
-root rows (the roots' coefficient tuples on Approx), with no scalar
-arithmetic, and the same root rows serve the read-back:
-``witness_sign_type`` signs each (v|beta) - 1 on the witness's row and the
-root rows.
+``lp_max``, runs both.  ``exactfield.int_row`` defines the row format.  Both
+LPs' tableaux, the region LP's and the order certificate's, are written in
+their final form from the poset's integer root rows (the roots' coefficient
+tuples on Approx), with no scalar arithmetic, and the same root rows serve
+the read-back: ``witness_sign_type`` signs each (v|beta) - 1 on the
+witness's row and the root rows.
 
 The census solves a region LP only for the antichains that no good maximal
 antichain covers: on H4, 28 decision LPs and 16 certificates.  A propagated
@@ -41,7 +41,6 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .exactfield import (
-    Approx,
     QuadExt,
     _reduce,
     int_row,
@@ -52,10 +51,6 @@ from .exactfield import (
 )
 from .rootposet import _extremes
 from .rootsystem import evaluate
-
-
-class DimensionMismatch(ValueError):
-    pass
 
 
 class EmptyAntichain(ValueError):
@@ -69,8 +64,8 @@ class EmptyAntichain(ValueError):
 def lp_max(tab):
     """Two-phase tableau simplex with Bland's anti-cycling rule, in place.
 
-    ``tab`` is an assembled tableau (``tableau`` or the region LP's
-    ``_region_tableau``): m constraint rows, each with its starting basic
+    ``tab`` is a tableau written by ``_region_tableau`` or
+    ``_order_tableau``: m constraint rows, each with its starting basic
     column in ``tab.basis``, then the objective row and, when there are
     artificial columns, the phase-1 row.  Returns "optimal", "unbounded" or
     "infeasible", where "infeasible" means the rows admit no x >= 0 at all.
@@ -135,35 +130,6 @@ def lp_max(tab):
     return "optimal"
 
 
-def tableau(n, objective, rows, zero, one):
-    """The tableau of max objective.x s.t. rows, x >= 0, for ``lp_max``.
-
-    rows: list of (coeffs, rhs) meaning coeffs . x <= rhs.  Columns: n
-    structural, m slacks, one artificial per row with a negative rhs (that
-    row is negated), then the rhs.
-    """
-    m = len(rows)
-    for coeffs, _ in rows:
-        if len(coeffs) != n:
-            raise DimensionMismatch("row length != n")
-    flipped = [sgn(rhs) < 0 for _, rhs in rows]
-    storage = _ScalarRows if isinstance(zero, Approx) else _IntRows
-    tab = storage(n, m, sum(flipped), zero, one)
-    art = n + m
-    for i, ((coeffs, rhs), neg) in enumerate(zip(rows, flipped)):
-        if neg:
-            tab.append(coeffs, rhs, -1, {n + i: -1, art: 1})
-            tab.basis.append(art)
-            art += 1
-        else:
-            tab.append(coeffs, rhs, 1, {n + i: 1})
-            tab.basis.append(n + i)
-    tab.append(objective, zero, 1, {})
-    if tab.arts:
-        tab.append_sum([i for i, neg in enumerate(flipped) if neg], tab.arts)
-    return tab
-
-
 class _Tableau:
     """Rows, basis and columns of a tableau; the storages supply the rows.
 
@@ -172,7 +138,7 @@ class _Tableau:
     while there are artificial columns.  Columns: n structural, m slacks,
     the artificials, then the rhs at ``total``.  No starting basic column
     has a phase-2 cost, and phase 1 maximises -sum(artificials), which
-    prices out as the sum of the flipped rows (``append_sum``).
+    prices out as the sum of the rows that hold them (``append_sum``).
     """
 
     def __init__(self, n, m, arts, zero, one):
@@ -195,7 +161,7 @@ class _Tableau:
         At an optimum they price the objective and are nonnegative; after
         "infeasible" they are the phase-1 duals, a Farkas combination
         (lambda >= 0, lambda^T A >= 0, lambda^T b < 0).  The multiplier of
-        row i is -reduced_cost(slack_i), for flipped rows included: the
+        row i is -reduced_cost(slack_i), for negated rows included: the
         slack column carries the flip sign already.
         """
         red, zero = self.rows[-1], self.zero
@@ -205,14 +171,10 @@ class _Tableau:
 class _ScalarRows(_Tableau):
     """Tableau rows as lists of scalars, for the Approx backend."""
 
-    def append(self, coeffs, rhs, s, units):
-        """Row s*(coeffs | rhs) with the unit entries ``units`` (column -> +-1)."""
-        self.append_root(coeffs if s > 0 else [-c for c in coeffs], units)
-        self.rows[-1][self.total] = rhs if s > 0 else -rhs
-
     def append_root(self, root, units):
-        """Row with a root's coefficients (a scalar tuple, or None for none)
-        in its first columns and the entries ``units`` (column -> +-1)."""
+        """Row with a root's coefficients, or another scalar row (a list, or
+        None for none), in its first columns and the entries ``units``
+        (column -> +-1)."""
         zero, one = self.zero, self.one
         row = [zero] * (self.total + 1)
         if root is not None:
@@ -270,18 +232,10 @@ class _IntRows(_Tableau):
         self.rel = zero.rel if isinstance(zero, QuadExt) else None
         self.p, self.q = self.rel[:2] if self.rel else (0, 0)
 
-    def append(self, coeffs, rhs, s, units):
-        """Row s*(coeffs | rhs) with the unit entries ``units`` (column -> +-1)."""
-        x, y, d = int_row([*coeffs, rhs], self.rel)
-        self.append_root(([s * v for v in x[:-1]], [s * v for v in y[:-1]], d),
-                         units)
-        X, Y, _ = self.rows[-1]
-        X[self.total], Y[self.total] = s * x[-1], s * y[-1]
-
     def append_root(self, root, units):
-        """Row with a root's coefficients (an integer row (A, B, E) in lowest
-        terms, or None for none) in its first columns, over E, and the
-        entries ``units`` (column -> +-1) as +-E."""
+        """Row with a root's coefficients, or another integer row (A, B, E)
+        in lowest terms (None for none), in its first columns, over E, and
+        the entries ``units`` (column -> +-1) as +-E."""
         a, b, d = root if root is not None else ((), (), 1)
         X, Y = [0] * (self.total + 1), [0] * (self.total + 1)
         X[:len(a)], Y[:len(b)] = a, b
@@ -633,11 +587,11 @@ def _region_tableau(poset, antichain, icmax):
     (beta|v) - t >= 1 for beta in the antichain, t - v_s <= 0 for the
     chamber rows v_s > 0, (gamma|v) + t <= 1 for gamma in I^c_max, and
     t <= 1.  Columns are v, t, one slack per row, one artificial per beta,
-    then the rhs, and each beta row is stored negated, as ``tableau`` stores
-    a row with a negative rhs.  On an exact field a root's entries are its
-    integer row (A, B, E) in ``poset.rows``, so the row of beta is A with
-    -E at t and at its slack and E at its artificial and the rhs, over E;
-    Approx takes the roots' coefficient tuples.
+    then the rhs, and each beta row is stored negated, with its rhs 1 and
+    its artificial as the starting basic column.  On an exact field a
+    root's entries are its integer row (A, B, E) in ``poset.rows``, so the
+    row of beta is A with -E at t and at its slack and E at its artificial
+    and the rhs, over E; Approx takes the roots' coefficient tuples.
     """
     rs = poset.system
     n, k = rs.rank, len(antichain)
@@ -730,6 +684,59 @@ def region_status(poset, antichain):
     return verdict
 
 
+def _order_tableau(poset, imin, icmax):
+    """The order-certificate LP's tableau, written from the root rows.
+
+    The LP takes convex weights c on I_min and d on I^c_max, with
+    sum(c*beta) <= sum(d*gamma) in every simple coordinate s, and maximises
+    the height of sum(d*gamma) - sum(c*beta).  Columns are c, d, one slack
+    per row, one artificial per ">= 1" row, then the rhs.  Rows: sum(c) <= 1,
+    then sum(c) >= 1 stored negated with its artificial, the same pair for d,
+    then one row per coordinate; the objective has -ht(beta) on c and
+    +ht(gamma) on d.  On an exact field a coordinate row is the roots' rows
+    (A, B, E) of ``poset.rows``, transposed and signed, over lcm(E) and in
+    lowest terms; Approx forms its rows from the coefficient tuples, and its
+    objective by subtracting each coordinate row in turn.
+    """
+    rs = poset.system
+    n, k = rs.rank, len(imin)
+    nv, m = k + len(icmax), n + 4
+    slack, rhs = nv, nv + m + 2
+    if poset.rows is None:
+        tab = _ScalarRows(nv, m, 2, rs.zero, rs.one)
+        zero = rs.zero
+        coords = [[rs.positives[i].coeffs[s] for i in imin]
+                  + [zero - rs.positives[i].coeffs[s] for i in icmax]
+                  for s in range(n)]
+        objective = [zero] * nv
+        for row in coords:
+            objective = [o - c for o, c in zip(objective, row)]
+    else:
+        tab = _IntRows(nv, m, 2, rs.zero, rs.one)
+        roots = [*imin, *icmax]
+        d = lcm(*(poset.rows[i][2] for i in roots))
+        ax, bx = [], []
+        for j, i in enumerate(roots):
+            a, b, e = poset.rows[i]
+            f = d // e if j < k else -(d // e)
+            ax.append([f * v for v in a])
+            bx.append([f * v for v in b])
+        coords = [_lowest(x, y, d) for x, y in zip(zip(*ax), zip(*bx))]
+        objective = _lowest([-sum(a) for a in ax], [-sum(b) for b in bx], d)
+    for side, cols in enumerate((range(k), range(k, nv))):
+        ones = dict.fromkeys(cols, 1)
+        tab.append_root(None, {**ones, slack + 2 * side: 1, rhs: 1})
+        tab.append_root(None, {**ones, slack + 2 * side + 1: -1,
+                               slack + m + side: 1, rhs: 1})
+        tab.basis += (slack + 2 * side, slack + m + side)
+    for s, row in enumerate(coords):
+        tab.append_root(row, {slack + 4 + s: 1})
+    tab.basis += range(slack + 4, slack + m)
+    tab.append_root(objective, {})
+    tab.append_sum((1, 3), tab.arts)
+    return tab
+
+
 def order_certificate(poset, imin, icmax):
     """Convex weights with sum(d*gamma) - sum(c*beta) in the nonneg cone, if any.
 
@@ -739,36 +746,11 @@ def order_certificate(poset, imin, icmax):
     """
     if not imin or not icmax:
         return None
-    rs = poset.system
-    zero, one = rs.zero, rs.one
-    k, l = len(imin), len(icmax)
-    nv = k + l
-    lower_roots = [rs.positives[i].coeffs for i in imin]
-    upper_roots = [rs.positives[i].coeffs for i in icmax]
-
-    rows = []
-    # convex weights: sum c = 1, sum d = 1 (as pairs of <= rows)
-    for idx in (range(k), range(k, nv)):
-        sel = [one if j in idx else zero for j in range(nv)]
-        rows.append((sel, one))
-        rows.append(([zero - s for s in sel], zero - one))
-    # componentwise sum(d*gamma) - sum(c*beta) >= 0
-    diff_rows = []
-    for s in range(rs.rank):
-        coeffs = [lower_roots[j][s] for j in range(k)] + \
-                 [zero - upper_roots[j][s] for j in range(l)]
-        diff_rows.append(coeffs)
-        rows.append((coeffs, zero))
-    objective = [zero] * nv
-    for coeffs in diff_rows:
-        objective = [o - c for o, c in zip(objective, coeffs)]
-
-    tab = tableau(nv, objective, rows, zero, one)
-    if lp_max(tab) != "optimal":
+    tab = _order_tableau(poset, imin, icmax)
+    # the objective row's rhs holds minus the optimum, which must be positive
+    if lp_max(tab) != "optimal" or tab.sign(tab.rows[-1], tab.total) >= 0:
         return None
-    x = tab.x()
-    if sgn(sum((c * v for c, v in zip(objective, x)), zero)) <= 0:
-        return None
+    x, k = tab.x(), len(imin)
     lower = [(i, x[j]) for j, i in enumerate(imin) if not is_zero(x[j])]
     upper = [(i, x[k + j]) for j, i in enumerate(icmax) if not is_zero(x[k + j])]
     return OrderCertificate(lower, upper)

@@ -16,8 +16,8 @@ coordinate, n log n sign tests per coordinate in every field.
 On an exact field ``rows[i]`` is root i's coefficient vector as an integer
 row (A, B, E) of ``exactfield.int_row``: coefficient s is
 (A[s] + B[s]*rho)/E in the field of ``rel`` (None for the rationals).  The
-rows serve ``feasibility``'s region-LP tableaux and witness read-back;
-Approx systems have none.
+rows serve ``feasibility``'s LP tableaux, the region LP's and the order
+certificate's, and its witness read-back; Approx systems have none.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from catalanregions.exactfield import (
     Q,
     TagMismatch,
     _qsign,
+    int_row,
     is_zero,
     near_tie,
     one_like,
@@ -23,16 +24,17 @@ from catalanregions.exactfield import (
     zero_like,
 )
 from catalanregions.feasibility import (
-    DimensionMismatch,
     EmptyAntichain,
     FeasibilityResult,
     LinearSystem,
+    OrderCertificate,
     _chamber_rows,
     _int_c,
+    _IntRows,
+    _ScalarRows,
     check_farkas,
     int_c,
     lp_max,
-    tableau,
 )
 from catalanregions.rootposet import NotAntichain
 from catalanregions.rootsystem import (
@@ -372,6 +374,55 @@ def bounded_lp(ref, antichain):
     return sgn(opt) == 0
 
 
+class DimensionMismatch(ValueError):
+    pass
+
+
+def append_row(tab, coeffs, rhs, s, units):
+    """Append the row s*(coeffs | rhs) to an ``_IntRows`` or ``_ScalarRows``
+    tableau, with the unit entries ``units`` (column -> +-1)."""
+    if isinstance(tab, _ScalarRows):
+        tab.append_root(coeffs if s > 0 else [-c for c in coeffs], units)
+        tab.rows[-1][tab.total] = rhs if s > 0 else -rhs
+        return
+    x, y, d = int_row([*coeffs, rhs], tab.rel)
+    tab.append_root(([s * v for v in x[:-1]], [s * v for v in y[:-1]], d),
+                    units)
+    X, Y, _ = tab.rows[-1]
+    X[tab.total], Y[tab.total] = s * x[-1], s * y[-1]
+
+
+def tableau(n, objective, rows, zero, one):
+    """Oracle for the written tableaux: the generic assembly of
+    max objective.x s.t. rows, x >= 0, for ``lp_max``.
+
+    rows: list of (coeffs, rhs) meaning coeffs . x <= rhs.  Columns: n
+    structural, m slacks, one artificial per row with a negative rhs (that
+    row is negated), then the rhs.  Exact fields split each scalar row into
+    ints with ``int_row``; Approx keeps the scalars.
+    """
+    m = len(rows)
+    for coeffs, _ in rows:
+        if len(coeffs) != n:
+            raise DimensionMismatch("row length != n")
+    flipped = [sgn(rhs) < 0 for _, rhs in rows]
+    storage = _ScalarRows if isinstance(zero, Approx) else _IntRows
+    tab = storage(n, m, sum(flipped), zero, one)
+    art = n + m
+    for i, ((coeffs, rhs), neg) in enumerate(zip(rows, flipped)):
+        if neg:
+            append_row(tab, coeffs, rhs, -1, {n + i: -1, art: 1})
+            tab.basis.append(art)
+            art += 1
+        else:
+            append_row(tab, coeffs, rhs, 1, {n + i: 1})
+            tab.basis.append(n + i)
+    append_row(tab, objective, zero, 1, {})
+    if tab.arts:
+        tab.append_sum([i for i, neg in enumerate(flipped) if neg], tab.arts)
+    return tab
+
+
 def lp_solve(n, objective, rows, zero, one):
     """max objective.x s.t. rows, x >= 0, by feasibility.lp_max.
 
@@ -401,6 +452,45 @@ def slack_lp(sys, zero, one):
     rows += [(list(a) + [one], b) for a, b in sys.strict_le]
     rows.append(([zero] * n + [one], one))
     return n + 1, [zero] * n + [one], rows
+
+
+def order_lp(poset, imin, icmax):
+    """(columns, objective, rows) of the order-certificate LP as scalar rows:
+    convex weights c on I_min and d on I^c_max (each sum as a pair of <=
+    rows), sum(c*beta) - sum(d*gamma) <= 0 in every simple coordinate, and
+    the objective minus the sum of those coordinate rows."""
+    rs = poset.system
+    zero, one = rs.zero, rs.one
+    k, nv = len(imin), len(imin) + len(icmax)
+    rows = []
+    for idx in (range(k), range(k, nv)):
+        sel = [one if j in idx else zero for j in range(nv)]
+        rows.append((sel, one))
+        rows.append(([zero - s for s in sel], zero - one))
+    objective = [zero] * nv
+    for s in range(rs.rank):
+        coeffs = [rs.positives[i].coeffs[s] for i in imin]
+        coeffs += [zero - rs.positives[i].coeffs[s] for i in icmax]
+        rows.append((coeffs, zero))
+        objective = [o - c for o, c in zip(objective, coeffs)]
+    return nv, objective, rows
+
+
+def order_certificate_generic(poset, imin, icmax):
+    """Oracle for ``order_certificate``: its LP on ``order_lp``'s scalar rows
+    through ``tableau``, with the optimum's sign read as that of the
+    objective at x."""
+    if not imin or not icmax:
+        return None
+    rs = poset.system
+    nv, objective, rows = order_lp(poset, imin, icmax)
+    status, x, _, opt = lp_solve(nv, objective, rows, rs.zero, rs.one)
+    if status != "optimal" or sgn(opt) <= 0:
+        return None
+    k = len(imin)
+    lower = [(i, x[j]) for j, i in enumerate(imin) if not is_zero(x[j])]
+    upper = [(i, x[k + j]) for j, i in enumerate(icmax) if not is_zero(x[k + j])]
+    return OrderCertificate(lower, upper)
 
 
 def solve(sys, zero, one):

@@ -158,7 +158,8 @@ def test_lp_count_only_read_witnesses_solve(monkeypatch):
 
 
 def test_h4_census_builds_no_unread_certificate(monkeypatch):
-    # the region LPs' tableaux come from the root order's integer rows, and
+    # the region and order-certificate LPs' tableaux come from the root
+    # order's integer rows, so int_row runs only in RootPoset.__init__, and
     # an empty region with an order certificate builds no Farkas certificate
     calls, depth = Counter(), Counter()
 
@@ -176,7 +177,7 @@ def test_h4_census_builds_no_unread_certificate(monkeypatch):
             calls[key] += 1
             if key == "check_farkas" and depth["int_c"]:
                 calls["check_farkas in int_c"] += 1
-            if key == "int_row" and not (depth["init"] or depth["order"]):
+            if key == "int_row" and not depth["init"]:
                 calls["int_row elsewhere"] += 1
             return real(*args, **kwargs)
         return run
@@ -184,8 +185,6 @@ def test_h4_census_builds_no_unread_certificate(monkeypatch):
     int_c = enters("int_c", feasibility.int_c)
     monkeypatch.setattr(feasibility, "int_c", int_c)
     monkeypatch.setattr(classifier, "int_c", int_c)
-    monkeypatch.setattr(feasibility, "order_certificate",
-                        enters("order", feasibility.order_certificate))
     monkeypatch.setattr(RootPoset, "__init__",
                         enters("init", RootPoset.__init__))
     for name in ("lp_max", "check_farkas"):

@@ -20,7 +20,6 @@ from catalanregions.exactfield import (
     tau,
 )
 from catalanregions.feasibility import (
-    DimensionMismatch,
     EmptyAntichain,
     LinearSystem,
     OrderCertificate,
@@ -31,7 +30,6 @@ from catalanregions.feasibility import (
     int_c,
     region_status,
     region_system,
-    tableau,
     witness_sign_type,
 )
 from catalanregions.rootposet import NotAntichain, RootPoset
@@ -39,15 +37,19 @@ from catalanregions.rootsystem import SystemSpec, build, evaluate, parse_spec
 import helpers
 from helpers import (
     REGION_SPECS,
+    DimensionMismatch,
     RootPosetReference,
     bounded_lp,
     int_c_lp,
     int_c_matches_certified_run,
     lp_max_reference,
     lp_solve,
+    order_certificate_generic,
+    order_lp,
     slack_lp,
     solve,
     solve_reference,
+    tableau,
     witness_sign_type_reference,
 )
 
@@ -204,23 +206,38 @@ def test_solve_matches_reference_on_h3_regions(h3_poset, monkeypatch):
 
 @pytest.mark.parametrize("group", sorted(REGION_SPECS))
 def test_region_tableau_matches_generic_assembly(group):
-    # written from the root rows, the region LP's tableau holds the rows,
-    # columns and basis that tableau builds from the system's scalar rows
+    # written from the root rows, the region and order-certificate LPs'
+    # tableaux hold the rows, columns and basis that tableau builds from
+    # their scalar rows, and the order certificates equal the generic path's
     def entries(tab):
         return [[x.v for x in row] if isinstance(row[0], Approx) else row
                 for row in tab.rows]
 
+    def same(got, want, a):
+        assert type(got) is type(want), a
+        assert ((got.n, got.m, got.total, got.arts, got.basis)
+                == (want.n, want.m, want.total, want.arts, want.basis)), a
+        assert entries(got) == entries(want), a
+
+    def weights(cert):
+        return cert and [(i, w.v if isinstance(w, Approx) else w)
+                         for i, w in cert.lower + cert.upper]
+
+    orders = 0
     for spec in REGION_SPECS[group]:
         p = RootPoset(build(spec))
         rs = p.system
         for a in p.antichains():
             sys, icmax = region_system(p, a)
-            got = feasibility._region_tableau(p, a, icmax)
-            want = tableau(*slack_lp(sys, rs.zero, rs.one), rs.zero, rs.one)
-            assert type(got) is type(want), a
-            assert ((got.n, got.m, got.total, got.arts, got.basis)
-                    == (want.n, want.m, want.total, want.arts, want.basis)), a
-            assert entries(got) == entries(want), a
+            same(feasibility._region_tableau(p, a, icmax),
+                 tableau(*slack_lp(sys, rs.zero, rs.one), rs.zero, rs.one), a)
+            if a and icmax:
+                orders += 1
+                same(feasibility._order_tableau(p, a, icmax),
+                     tableau(*order_lp(p, a, icmax), rs.zero, rs.one), a)
+                assert (weights(feasibility.order_certificate(p, a, icmax))
+                        == weights(order_certificate_generic(p, a, icmax))), a
+    assert orders
 
 
 @pytest.mark.parametrize("group", sorted(REGION_SPECS))

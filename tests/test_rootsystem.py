@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -93,6 +94,17 @@ def test_backend_selection():
         assert _resolve_ratio(parse_spec(label)) == 1
     assert _resolve_ratio(parse_spec("I2:4:r=sin(3)/sin(2)")) == sqrt2(0, Q(1, 2))
     assert _resolve_ratio(parse_spec("I2:4:r=sin(2)/sin(1)")) == sqrt2()
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 12])
+def test_mirrored_sine_ratio_resolves_to_the_rational_one(m):
+    # sin(k pi/m) = sin((m - k) pi/m) on either side of the ratio: the
+    # reduction makes it the rational 1, where U_{k-1}(c)/U_{m-k-1}(c) is a
+    # field element (QuadExt for m = 4 and 6, an Approx near 1 for 8 and 12)
+    for k in range(1, m):
+        if 2 * k != m:
+            r = _resolve_ratio(parse_spec(f"I2:{m}:r=sin({k})/sin({m - k})"))
+            assert type(r) is Fraction and r == 1, k
 
 
 @pytest.mark.parametrize("m", [4, 6, 12])

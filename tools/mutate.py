@@ -44,12 +44,6 @@ EQUIVALENT = {
      "return frozenset(i for i, s in enumerate(signs) if s > 0)",
      "Gt -> GtE", "s > 0"):
         "a zero sign has returned None on the line before",
-    ("feasibility.py",
-     "self.append_root(coeffs if s > 0 else [-c for c in coeffs], units)",
-     "Gt -> GtE", "s > 0"): "tableau passes s = 1 or s = -1, never 0",
-    ("feasibility.py",
-     "self.rows[-1][self.total] = rhs if s > 0 else -rhs", "Gt -> GtE",
-     "s > 0"): "tableau passes s = 1 or s = -1, never 0",
     ("feasibility.py", "row[j] = one if u > 0 else -one", "Gt -> GtE",
      "u > 0"): "every assembly passes unit entries 1 or -1, never 0",
     ("feasibility.py", "if px < 0:", "Lt -> LtE", "px < 0"):
@@ -74,10 +68,6 @@ EQUIVALENT = {
     ("feasibility.py",
      "elif sg < 0 and (hi is None or sgn(bound - hi) < 0):", "Lt -> LtE",
      "sgn(bound - hi) < 0"): "an equal bound leaves hi as it is",
-    ("feasibility.py", "sel = [one if j in idx else zero for j in range(nv)]",
-     "In -> NotIn", "j in idx"): "the complement of one side's columns is "
-        "the other side's, so the two sum rows only swap places; the H4 "
-        "report keeps its bytes",
     ("feasibility.py",
      "if s > 0 or (s == 0 and basis[i] > basis[leave]):", "Gt -> GtE",
      "basis[i] > basis[leave]"): "two rows never share a basic column",

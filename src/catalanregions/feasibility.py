@@ -1,8 +1,9 @@
 """Exact linear feasibility over an ordered field.
 
 Int_C(A), the chamber points at level one on an antichain, is decided by
-elimination: row reduction of the equalities, then Fourier-Motzkin over the
-at most rank - 1 null-space parameters, which yields an exact witness or a
+elimination: row reduction of the equalities, on the same rows and with the
+same pivot as the LPs, then Fourier-Motzkin in scalars over the at most
+rank - 1 null-space parameters, which yields an exact witness or a
 refutation.  The elimination carries no multipliers; only a refutation runs
 it again with them, to read off its Farkas certificate.  Regions mix many
 strict rows and go through the LP engine in the chamber coordinates v >= 0
@@ -20,11 +21,11 @@ rationals).  Pivots multiply by conjugates over norms, signs use the
 quadratic sign rule that ``QuadExt.sign`` uses, and only the values read
 back become scalars.  Approx rows stay lists of scalars; one Bland driver,
 ``lp_max``, runs both.  ``exactfield.int_row`` defines the row format.  Both
-LPs' tableaux, the region LP's and the order certificate's, are written in
-their final form from the poset's integer root rows (the roots' coefficient
-tuples on Approx), with no scalar arithmetic, and the same root rows serve
-the read-back: ``witness_sign_type`` signs each (v|beta) - 1 on the
-witness's row and the root rows.
+LPs' tableaux, the region LP's and the order certificate's, and Int_C's
+[B | 1] are written in their final form from the poset's integer root rows
+(the roots' coefficient tuples on Approx), with no scalar arithmetic, and
+the same root rows serve the read-back: ``witness_sign_type`` signs each
+(v|beta) - 1 on the witness's row and the root rows.
 
 The census solves a region LP only for the antichains that no good maximal
 antichain covers: on H4, 28 decision LPs and 16 certificates.  A propagated
@@ -139,6 +140,8 @@ class _Tableau:
     the artificials, then the rhs at ``total``.  No starting basic column
     has a phase-2 cost, and phase 1 maximises -sum(artificials), which
     prices out as the sum of the rows that hold them (``append_sum``).
+    ``int_c`` reduces its equalities in a tableau with no basis, where a
+    row's slack columns hold its combination of the equalities.
     """
 
     def __init__(self, n, m, arts, zero, one):
@@ -333,6 +336,16 @@ def _lowest(X, Y, d):
     return [X, Y, d]
 
 
+def _storage(poset, roots, n, m, arts):
+    """An empty tableau in the poset's storage, with the rows of ``roots``."""
+    rs = poset.system
+    if poset.rows is None:
+        return (_ScalarRows(n, m, arts, rs.zero, rs.one),
+                [rs.positives[i].coeffs for i in roots])
+    return (_IntRows(n, m, arts, rs.zero, rs.one),
+            [poset.rows[i] for i in roots])
+
+
 # ---------------------------------------------------------------------------
 # strict systems and their Farkas certificates
 # ---------------------------------------------------------------------------
@@ -429,30 +442,33 @@ def _chamber_rows(n, zero, one):
 def int_c(poset, antichain):
     """Int_C(A) = {v > 0 : (v|beta) = 1 for beta in A}, decided by elimination.
 
-    Row reduction solves the equalities as v = v0 + N s over the null-space
-    parameters s, and drops consistent dependent rows; an inconsistent one
-    refutes the equalities.  The chamber rows v_i > 0 then become strict
-    rows in s, and Fourier-Motzkin elimination removes one parameter at a
-    time.  A final constant <= 0 refutes Int_C; otherwise back-substitution
-    through the open intervals of each level gives an exact witness.  The
-    elimination decides without multipliers, and only a refutation runs it
-    again with them, to read off its Farkas certificate.
+    Row reduction of A's root rows, with the LPs' storage and pivot, solves
+    the equalities as v = v0 + N s over the null-space parameters s and
+    drops consistent dependent rows; an inconsistent one refutes them.  The
+    chamber rows v_i > 0 then become strict rows in s, and Fourier-Motzkin
+    elimination removes one parameter at a time.  A final constant <= 0
+    refutes Int_C; otherwise back-substitution through the open intervals
+    of each level gives an exact witness.  The elimination decides without
+    multipliers, and only a refutation runs it again with them, to read off
+    its Farkas certificate.
     """
     if not antichain:
         raise EmptyAntichain("int_c needs a nonempty antichain")
-    rs = poset.system
-    return (_int_c(rs, antichain, certify=False)
-            or _int_c(rs, antichain, certify=True))
+    return (_int_c(poset, antichain, certify=False)
+            or _int_c(poset, antichain, certify=True))
 
 
-def _int_c(rs, antichain, certify):
+def _int_c(poset, antichain, certify):
     """``int_c``'s elimination; a refutation returns None unless ``certify``.
 
-    With ``certify`` each row carries its multipliers as trailing columns,
-    which the row operations update with the rest of the row: over the
-    equalities during row reduction, over the chamber rows during
-    Fourier-Motzkin.  The decision and the witness do not read them.
+    [B | 1] is a tableau with no basis, reduced by the storage's ``pivot``.
+    With ``certify`` each row also carries multipliers, which the row
+    operations update with the rest of the row: one slack column per
+    equality in the reduction, and the chamber multipliers as trailing
+    columns in Fourier-Motzkin.  Only the pivot rows' rhs and free columns
+    are read back as scalars, and the slack columns only on a refutation.
     """
+    rs = poset.system
     zero, one = rs.zero, rs.one
     n, k = rs.rank, len(antichain)
 
@@ -469,33 +485,30 @@ def _int_c(rs, antichain, certify):
         check_farkas(sys, cert, zero)
         return FeasibilityResult("Infeasible", farkas=cert)
 
-    # reduced row echelon form of [B | 1]; row r continues with its
-    # combination of the equalities as given
-    rows = [[*rs.positives[b].coeffs, one, *unit(i, k)]
-            for i, b in enumerate(antichain)]
+    tab, roots = _storage(poset, antichain, n, k if certify else 0, 0)
+    rhs, rows, val = tab.total, tab.rows, tab.value
+    for i, root in enumerate(roots):
+        tab.append_root(root, {n + i: 1, rhs: 1} if certify else {rhs: 1})
+    # reduced row echelon form: each column pivots on the first row below
+    # the pivots found so far that is nonzero there
     pivots = []
     for col in range(n):
         r = len(pivots)
-        piv = next((i for i in range(r, k) if not is_zero(rows[i][col])), None)
+        piv = next((i for i in range(r, k) if tab.sign(rows[i], col)), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = one / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(k):
-            f = rows[i][col]
-            if i != r and not is_zero(f):
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        tab.pivot(r, col)
         pivots.append(col)
     for row in rows[len(pivots):]:
-        # the row reads 0 = row[n]; a nonzero constant refutes the equalities
-        if not is_zero(row[n]):
+        # the row reads 0 = rhs; a nonzero rhs refutes the equalities
+        sg = tab.sign(row, rhs)
+        if sg:
             if not certify:
                 return None
-            combo = row[n + 1:]
-            if sgn(row[n]) < 0:
-                combo = [zero - x for x in combo]
-            return refuted([zero] * n, combo)
+            combo = [val(row, n + i) for i in range(k)]
+            return refuted([zero] * n,
+                           combo if sg > 0 else [zero - x for x in combo])
 
     # chamber row i as [g, *h]: g + h.s > 0, with h[t] at index 1 + t; in
     # the levels it continues with its chamber multipliers
@@ -503,8 +516,8 @@ def _int_c(rs, antichain, certify):
     chamber = [None] * n
     for t, c in enumerate(free):
         chamber[c] = [zero, *(one if u == t else zero for u in range(len(free)))]
-    for r, c in enumerate(pivots):
-        chamber[c] = [rows[r][n], *(zero - rows[r][f] for f in free)]
+    for row, c in zip(rows, pivots):
+        chamber[c] = [val(row, rhs), *(zero - val(row, f) for f in free)]
     level = [[*row, *unit(i, n)] for i, row in enumerate(chamber)]
 
     levels = []
@@ -532,8 +545,8 @@ def _int_c(rs, antichain, certify):
             # set, so it equals sum(nu_k beta_k) with sum(nu_k) = g
             lam = row[1 + len(free):]
             mu = [zero] * k
-            for r, c in enumerate(pivots):
-                mu = [y - lam[c] * x for y, x in zip(mu, rows[r][n + 1:])]
+            for prow, c in zip(rows, pivots):
+                mu = [y - lam[c] * val(prow, n + i) for i, y in enumerate(mu)]
             return refuted(lam, mu)
     if any(near_tie(row[0]) for row in level):
         return FeasibilityResult("Degenerate")
@@ -597,20 +610,15 @@ def _region_tableau(poset, antichain, icmax):
     n, k = rs.rank, len(antichain)
     m = k + n + len(icmax) + 1
     t, slack, rhs = n, n + 1, n + 1 + m + k
-    if poset.rows is None:
-        tab = _ScalarRows(n + 1, m, k, rs.zero, rs.one)
-        roots = {i: rs.positives[i].coeffs for i in (*antichain, *icmax)}
-    else:
-        tab = _IntRows(n + 1, m, k, rs.zero, rs.one)
-        roots = poset.rows
-    for i, b in enumerate(antichain):
+    tab, roots = _storage(poset, (*antichain, *icmax), n + 1, m, k)
+    for i, root in enumerate(roots[:k]):
         art = slack + m + i
-        tab.append_root(roots[b], {t: -1, slack + i: -1, art: 1, rhs: 1})
+        tab.append_root(root, {t: -1, slack + i: -1, art: 1, rhs: 1})
         tab.basis.append(art)
     for s in range(n):
         tab.append_root(None, {s: -1, t: 1, slack + k + s: 1})
-    for i, g in enumerate(icmax):
-        tab.append_root(roots[g], {t: 1, slack + k + n + i: 1, rhs: 1})
+    for i, root in enumerate(roots[k:]):
+        tab.append_root(root, {t: 1, slack + k + n + i: 1, rhs: 1})
     tab.append_root(None, {t: 1, slack + m - 1: 1, rhs: 1})
     tab.basis += range(slack + k, slack + m)
     tab.append_root(None, {t: 1})
@@ -702,22 +710,18 @@ def _order_tableau(poset, imin, icmax):
     n, k = rs.rank, len(imin)
     nv, m = k + len(icmax), n + 4
     slack, rhs = nv, nv + m + 2
-    if poset.rows is None:
-        tab = _ScalarRows(nv, m, 2, rs.zero, rs.one)
+    tab, roots = _storage(poset, (*imin, *icmax), nv, m, 2)
+    if isinstance(tab, _ScalarRows):
         zero = rs.zero
-        coords = [[rs.positives[i].coeffs[s] for i in imin]
-                  + [zero - rs.positives[i].coeffs[s] for i in icmax]
+        coords = [[r[s] for r in roots[:k]] + [zero - r[s] for r in roots[k:]]
                   for s in range(n)]
         objective = [zero] * nv
         for row in coords:
             objective = [o - c for o, c in zip(objective, row)]
     else:
-        tab = _IntRows(nv, m, 2, rs.zero, rs.one)
-        roots = [*imin, *icmax]
-        d = lcm(*(poset.rows[i][2] for i in roots))
+        d = lcm(*(e for _, _, e in roots))
         ax, bx = [], []
-        for j, i in enumerate(roots):
-            a, b, e = poset.rows[i]
+        for j, (a, b, e) in enumerate(roots):
             f = d // e if j < k else -(d // e)
             ax.append([f * v for v in a])
             bx.append([f * v for v in b])

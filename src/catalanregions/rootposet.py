@@ -16,8 +16,8 @@ coordinate, n log n sign tests per coordinate in every field.
 On an exact field ``rows[i]`` is root i's coefficient vector as an integer
 row (A, B, E) of ``exactfield.int_row``: coefficient s is
 (A[s] + B[s]*rho)/E in the field of ``rel`` (None for the rationals).  The
-rows serve ``feasibility``'s LP tableaux, the region LP's and the order
-certificate's, and its witness read-back; Approx systems have none.
+rows serve all of ``feasibility``: the region and order-certificate LP
+tableaux, Int_C's row reduction and the witness read-back; Approx has none.
 """
 
 from __future__ import annotations
@@ -81,10 +81,6 @@ class RootPoset:
 
     def comparable(self, i, j):
         return bool((self._up[i] | self._down[i]) >> j & 1)
-
-    def is_antichain(self, roots):
-        roots = tuple(roots)  # a repeated root is not maximal twice
-        return len(_extremes(_mask(roots), self._up)) == len(roots)
 
     # -- enumeration ---------------------------------------------------------
 

@@ -19,6 +19,7 @@ from catalanregions.exactfield import (
     is_zero,
     near_tie,
     one_like,
+    scalar_to_json,
     sgn,
     tau,
     zero_like,
@@ -189,12 +190,14 @@ def random_tau(rng, span=20):
 
 
 def brute_force_antichains(poset):
-    """All antichains by filtering every subset; feasible for small posets."""
+    """All antichains by filtering every subset with the pairwise oracle's
+    ``is_antichain``; feasible for small posets."""
+    ref = RootPosetReference(poset.system)
     n = poset.size
     out = []
     for mask in range(1 << n):
         members = tuple(i for i in range(n) if mask >> i & 1)
-        if poset.is_antichain(members):
+        if ref.is_antichain(members):
             out.append(members)
     out.sort(key=lambda a: (len(a), a))
     return out
@@ -617,7 +620,23 @@ def int_c_matches_certified_run(poset, antichain):
         return res.status, bits(res.witness), farkas
 
     return (exact(int_c(poset, antichain))
-            == exact(_int_c(poset.system, antichain, certify=True)))
+            == exact(_int_c(poset, antichain, certify=True)))
+
+
+def int_c_digest(poset, antichains, digest):
+    """Feed the status, witness and certificate of ``int_c`` on each
+    antichain, as ``scalar_to_json`` writes them, into a hashlib digest;
+    returns the results."""
+    results = []
+    for a in antichains:
+        res = int_c(poset, a)
+        farkas = res.farkas and {k: [scalar_to_json(x) for x in v]
+                                 for k, v in sorted(res.farkas.items())}
+        witness = res.witness and [scalar_to_json(x) for x in res.witness]
+        digest.update(json.dumps([res.status, witness, farkas],
+                                 sort_keys=True).encode())
+        results.append(res)
+    return results
 
 
 def bijection_lp(poset):

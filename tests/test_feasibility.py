@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from collections import Counter
@@ -40,6 +41,7 @@ from helpers import (
     DimensionMismatch,
     RootPosetReference,
     bounded_lp,
+    int_c_digest,
     int_c_lp,
     int_c_matches_certified_run,
     lp_max_reference,
@@ -410,17 +412,41 @@ def test_int_c_matches_lp_oracle(label):
         assert statuses["Infeasible"] == 16
 
 
+# sha256 of int_c's status, witness and certificate, through
+# scalar_to_json, on every nonempty antichain of each REGION_SPECS group
+INT_C_SHA256 = {
+    "H3":
+        "8c33caa6983e2a0fd604e7b03d4095aa557b53a650babf8f6b28c90c9cee263a",
+    "H4":
+        "eb5e71663709b1ac66be87a0a688ada30a8a9971b90da7a4f2b610b45e6772a8",
+    "I2:100":
+        "75b5257abf9ade878647d562c5238e56769ff93f158e412552f467808bbccaeb",
+    "I2:2-40":
+        "ed7f4f0f612a9d31f4c9057abd9d39adf8bd07937d4424c64045b153cd49bfaf",
+    "approx":
+        "cd6c45b805d4bb121df93bc5977e94ba6a1cc6cc5b051b01c9f78d298e414011",
+    "sweep12":
+        "3afcf49a2d575420fb7588c5aef5178e8efce3597f594d1f384fca10032df292",
+    "sweep6":
+        "bbe635630c6569a16d1fe136044ed20a963a9f0793d94a975d06f7c59a082855",
+}
+
+
 @pytest.mark.parametrize("group", sorted(REGION_SPECS))
 def test_int_c_certifies_only_on_refutation(group):
     # deciding without multipliers and replaying only a refutation with
-    # them changes no status, witness or certificate
+    # them changes no status, witness or certificate, and the values of
+    # both stay those pinned
     refuted = 0
+    digest = hashlib.sha256()
     for spec in REGION_SPECS[group]:
         p = RootPoset(build(spec))
-        for a in p.antichains()[1:]:
+        antichains = p.antichains()[1:]
+        for a, res in zip(antichains, int_c_digest(p, antichains, digest)):
             assert int_c_matches_certified_run(p, a), (spec, a)
-            refuted += int_c(p, a).status == "Infeasible"
+            refuted += res.status == "Infeasible"
     assert refuted == (16 if group == "H4" else 0)
+    assert digest.hexdigest() == INT_C_SHA256[group]
 
 
 @pytest.mark.parametrize("label", ["I2:7", "I2:12:r=sin(1)/sin(4)"])

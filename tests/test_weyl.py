@@ -8,6 +8,8 @@ enter the census as rows of the Coxeter table, so they run through the same
 Gram matrix, descent tree and classifier as H3, H4 and I2(m).
 """
 
+import hashlib
+
 import pytest
 
 from catalanregions import rootsystem
@@ -18,6 +20,7 @@ from catalanregions.rootposet import RootPoset
 from catalanregions.rootsystem import CoxeterType, _path, build, parse_spec
 from helpers import (
     RootPosetReference,
+    int_c_digest,
     int_c_matches_certified_run,
     witness_sign_type_reference,
 )
@@ -94,10 +97,41 @@ def test_weyl_census_matches_theorems(monkeypatch, name):
                 == poset.ideal(v.antichain) == ref.ideal(v.antichain))
 
 
+# sha256 of int_c's status, witness and certificate, through
+# scalar_to_json, on every nonempty antichain of each type
+WEYL_INT_C_SHA256 = {
+    "A3":
+        "3a1f552e6fe6e3ebf4eb937e6c26fee51d5ef5f5c024a8511c331088deb83de5",
+    "A4":
+        "41e1f2ce43a33c3d8fbe75daa761d20ff65025208c899411f954403a990b9cb9",
+    "A5":
+        "dd1d6bf03289129975a429416c93ea82b1a64dee9cec4f564e2084f443b1d547",
+    "A6":
+        "a5d36fa2c1a75dfddf44ee895732a222898c5def3ef5e7e5b99c09c1a9d0ac7a",
+    "B3":
+        "7b19fd9165607a279ae740e277c3e774ab158a56fda256a4d06a7d982d380105",
+    "B4":
+        "35d5a9dd2b477ea30aef6b8de74d99aaa1c961b8762ce633afaada43bba38bd8",
+    "D4":
+        "31f1f66bacb72b304e58e44e28135ebb7dbd3afc7f4d9db9dc3777a37a8ca3a3",
+    "D5":
+        "20273cc1987fa8b873f5d23249aab408a57a68eb7e33e03e752adc16ea1e10af",
+    "E6":
+        "6c38acf06f6d6c950fa0989883c879936bc351ed44654db8728c19f7c812e049",
+    "F4":
+        "3a5a6f742a059deae222e840d3973c299f511e28bf33eca2dc2410efb25f5b1f",
+}
+
+
 @pytest.mark.parametrize("name", sorted(WEYL_TYPES))
 def test_weyl_int_c_certifies_only_on_refutation(monkeypatch, name):
-    # every antichain is feasible here, so no run replays with multipliers
+    # every antichain is feasible here, so no run replays with multipliers;
+    # the witnesses stay those pinned
     monkeypatch.setitem(rootsystem.COXETER_TYPES, name, WEYL_TYPES[name])
     poset = RootPoset(build(parse_spec(name)))
-    for a in poset.antichains()[1:]:
+    antichains = poset.antichains()[1:]
+    digest = hashlib.sha256()
+    for a, res in zip(antichains, int_c_digest(poset, antichains, digest)):
+        assert res.status == "Feasible", a
         assert int_c_matches_certified_run(poset, a), a
+    assert digest.hexdigest() == WEYL_INT_C_SHA256[name]

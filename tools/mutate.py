@@ -7,11 +7,14 @@ The tests default to tests/test_<module>.py.  The repository, without .git,
 is copied once into a temporary directory (set TMPDIR to choose where), and
 each mutant replaces the module there and runs ``pytest -x`` in one
 subprocess.  A mutant is killed when the tests fail, survives when they
-pass, and hangs when it outlives five times the unmutated run (at least
-30 s).  The flips are comparisons, ``& |``, ``+ -`` and ``and or``, outside
-annotations.  A survivor listed in EQUIVALENT is counted apart, so that a
-new survivor stands out; each entry names one site by its line and the
-flipped sub-expression, so two flips of one kind on a line stay apart.
+pass, and hangs when one test outlives five times the slowest test of the
+unmutated run (at least 30 s): this module, loaded into pytest as a plugin,
+stamps each test's start and finish in a clock file.  The flips are
+comparisons, ``& |``, ``+ -`` and ``and or``, outside annotations.  A
+survivor listed in EQUIVALENT is counted apart, so that a new survivor
+stands out; each entry names one site by its line and the flipped
+sub-expression, so two flips of one kind on a line stay apart, and an
+entry of the module that names no site is printed as stale.
 See DeMillo, Lipton and Sayward, "Hints on test data selection", IEEE
 Computer 11 (1978).
 """
@@ -27,6 +30,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+CLOCK = "mutate.clock"  # beside this file: one line per test start and finish
 PAIRS = [(ast.Lt, ast.LtE), (ast.Gt, ast.GtE), (ast.Eq, ast.NotEq),
          (ast.Is, ast.IsNot), (ast.In, ast.NotIn), (ast.Add, ast.Sub),
          (ast.BitAnd, ast.BitOr), (ast.And, ast.Or)]
@@ -50,8 +54,8 @@ EQUIVALENT = {
         "a pivot entry is never zero",
     ("feasibility.py", "if d < 0:", "Lt -> LtE", "d < 0"):
         "the norm of a nonzero x + y*rho with y != 0 is never zero",
-    ("feasibility.py", "if sgn(row[n]) < 0:", "Lt -> LtE", "sgn(row[n]) < 0"):
-        "the line before has tested row[n] nonzero, with the tolerance sgn uses",
+    ("feasibility.py", "combo if sg > 0 else [zero - x for x in combo])",
+     "Gt -> GtE", "sg > 0"): "the line before has tested sg nonzero",
     ("feasibility.py", "if sp <= 0:", "LtE -> Lt", "sp <= 0"):
         "a row with a zero s_t coefficient pairs into a positive multiple of "
         "itself, after the row itself, so no bound or refutation changes",
@@ -75,6 +79,21 @@ EQUIVALENT = {
      "not imin or not icmax"):
         "an empty side makes its convex-weight row read 0 = 1, so the LP is "
         "infeasible and None is returned all the same",
+    ("exactfield.py", "if mpmath.mp.dps < DECIMAL_DPS:", "Lt -> LtE",
+     "mpmath.mp.dps < DECIMAL_DPS"):
+        "at exactly DECIMAL_DPS digits the assignment sets what is there",
+    ("exactfield.py", "if x < 0:", "Lt -> LtE", "x < 0"):
+        "x == 0 has raised DivByZero on the line before",
+    ("exactfield.py", "if n < 0:", "Lt -> LtE", "n < 0"):
+        "the norm of x + y*rho with y != 0 is never 0, since rho is irrational",
+    ("exactfield.py",
+     "if other.rel is not self.rel and other.rel != self.rel:", "And -> Or",
+     "other.rel is not self.rel and other.rel != self.rel"):
+        "relations are module singletons, so 'is not' and '!=' agree",
+    ("exactfield.py", "return abs(self.v) < 10 * Approx.epsilon",
+     "Lt -> LtE", "abs(self.v) < 10 * Approx.epsilon"):
+        "no computed value lands exactly on the 10 * epsilon boundary, whose "
+        "side is a choice of tolerance, not of sign",
 }
 
 
@@ -116,20 +135,49 @@ def mutant(source, k):
     return ast.unparse(tree), (node.lineno, flip, expr)
 
 
-def run_tests(work, tests, timeout):
+def _stamp():
+    with open(Path(__file__).with_name(CLOCK), "a") as clock:
+        clock.write(f"{time.time()}\n")
+
+
+def pytest_runtest_logstart(nodeid, location):
+    """Plugin hook: a test starts."""
+    _stamp()
+
+
+def pytest_runtest_logfinish(nodeid, location):
+    """Plugin hook: a test, its setup and teardown included, has finished."""
+    _stamp()
+
+
+def run_tests(work, tests, limit):
+    """Run the tests in the copy at ``work``: "survived", "killed", or
+    "hung" when ``limit`` seconds pass with no test starting or finishing.
+    The run's clock file holds its stamps afterwards."""
+    clock = work / "tools" / CLOCK
+    clock.write_text("")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=str(work / "src"))
+               PYTHONPATH=os.pathsep.join([str(work / "src"),
+                                           str(work / "tools")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         *tests],
+         "-p", "mutate", *tests],
         cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         start_new_session=True)
-    try:
-        return "survived" if proc.wait(timeout) == 0 else "killed"
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)  # pytest's own children too
-        proc.wait()
-        return "hung"
+    while True:
+        try:
+            return "survived" if proc.wait(1) == 0 else "killed"
+        except subprocess.TimeoutExpired:
+            if limit and time.time() - clock.stat().st_mtime > limit:
+                os.killpg(proc.pid, signal.SIGKILL)  # pytest's own children too
+                proc.wait()
+                return "hung"
+
+
+def slowest_test(work):
+    """The longest start-to-finish span of one test in the last run."""
+    stamps = [float(x) for x in (work / "tools" / CLOCK).read_text().split()]
+    return max(b - a for a, b in zip(stamps[::2], stamps[1::2]))
 
 
 def main(argv):
@@ -137,22 +185,28 @@ def main(argv):
     tests = tests or [f"tests/test_{module.stem}.py"]
     source = (ROOT / module).read_text()
     lines = source.splitlines()
+    mutants = [mutant(source, k) for k in range(len(sites(ast.parse(source))))]
+    keys = [(module.name, lines[line - 1].strip(), flip, expr)
+            for _, (line, flip, expr) in mutants]
+    for key in sorted(EQUIVALENT.keys() - set(keys)):
+        if key[0] == module.name:
+            print(f"stale EQUIVALENT key, no such site: {key}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp) / "repo"
         shutil.copytree(ROOT, work, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
         (work / module).write_text(ast.unparse(ast.parse(source)))
-        start = time.perf_counter()
         if run_tests(work, tests, None) != "survived":
             sys.exit(f"the tests fail on the unmutated {module}")
-        timeout = max(30.0, 5 * (time.perf_counter() - start))
+        slowest = slowest_test(work)
+        limit = max(30.0, 5 * slowest)
+        print(f"slowest unmutated test {slowest:.1f} s, "
+              f"so a mutant hangs after {limit:.0f} s in one test", flush=True)
         counts = {"killed": 0, "survived": 0, "hung": 0, "equivalent": 0}
-        for k in range(len(sites(ast.parse(source)))):
-            text, (line, flip, expr) = mutant(source, k)
+        for (text, (line, flip, expr)), key in zip(mutants, keys):
             (work / module).write_text(text)
-            outcome = run_tests(work, tests, timeout)
-            why = EQUIVALENT.get(
-                (module.name, lines[line - 1].strip(), flip, expr))
+            outcome = run_tests(work, tests, limit)
+            why = EQUIVALENT.get(key)
             if outcome == "survived" and why:
                 outcome = "equivalent"
             counts[outcome] += 1

@@ -12,9 +12,10 @@ Three kinds of scalar coexist (never mixed within one computation):
   views,
 * high-precision floats with a fixed comparison tolerance, for dihedral
   systems whose coordinates live in no fixed quadratic field.  They compute
-  in mpmath's process-wide context, which the first use of an Approx value,
-  a cosine or a decimal view raises to ``DECIMAL_DPS`` digits; mpmath is
-  imported only then, through ``load_mpmath``.
+  on ``mpmath.libmp``'s kernels at the precision and rounding of mpmath's
+  process-wide context, which the first use of an Approx value, a cosine
+  or a decimal view raises to ``DECIMAL_DPS`` digits; mpmath is imported
+  only then, through ``load_mpmath``.
 
 Which kind a system uses follows from its spec alone (see
 ``rootsystem.build``); nothing selects it at run time.  Scalars are ordered
@@ -60,15 +61,28 @@ def load_mpmath():
     """The mpmath module, its process-wide context at DECIMAL_DPS digits or more.
 
     mpmath is imported on the first call, so a process that computes only
-    in exact fields never loads it.  The precision is checked on every call:
-    a caller's ``mpmath.workdps`` block restores its own saved precision on
-    exit, which may be below DECIMAL_DPS.
+    in exact fields never loads it; that call also binds Approx's kernel.
+    The precision is checked on every call: a caller's ``mpmath.workdps``
+    block restores its own saved precision on exit, which may be below
+    DECIMAL_DPS.
     """
+    global _lib, _mpf, _prec_rounding
     import mpmath
 
     if mpmath.mp.dps < DECIMAL_DPS:
         mpmath.mp.dps = DECIMAL_DPS
+    if _lib is None:
+        from mpmath import libmp
+        _lib, _mpf = libmp, mpmath.mp.mpf
+        _prec_rounding = mpmath.mp._prec_rounding
     return mpmath
+
+
+# Approx's kernel, bound by the first load_mpmath call: mpmath.libmp, the
+# mpf type of mpmath's process-wide context, and that context's
+# [prec, rounding] list, which mpmath updates in place whenever the
+# precision changes.  Every Approx is made after that call.
+_lib = _mpf = _prec_rounding = None
 
 
 # Relations rho**2 = p*rho + q, with rho the positive root.
@@ -350,10 +364,13 @@ class Approx:
 
     Comparisons whose difference is below ``epsilon`` count as equal; a
     difference within [epsilon, 10*epsilon] is close enough to a tie to be
-    reported as degenerate by callers that care.  Arithmetic runs in the
-    process-wide mpmath context, which the first use raises to
-    ``DECIMAL_DPS`` digits, as every construction does again; nothing enters
-    a context of its own.
+    reported as degenerate by callers that care.  ``v`` is an ``mpmath.mpf``.
+    Arithmetic, ``sign`` and ``near_tie`` call ``mpmath.libmp``'s kernels on
+    ``v._mpf_`` at the current precision and rounding of the process-wide
+    mpmath context, as mpf's own operators do, so each result has their
+    bits without their dispatch.  The first use raises that context to
+    ``DECIMAL_DPS`` digits, as every construction does again; nothing
+    enters a context of its own.  ``epsilon`` is read on every comparison.
     """
 
     __slots__ = ("v",)
@@ -380,18 +397,20 @@ class Approx:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _approx(self.v + o.v)
+        prec, rnd = _prec_rounding
+        return _approx(_lib.mpf_add(self.v._mpf_, o.v._mpf_, prec, rnd))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _approx(-self.v)
+        return _approx(_lib.mpf_neg(self.v._mpf_, *_prec_rounding))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _approx(self.v - o.v)
+        prec, rnd = _prec_rounding
+        return _approx(_lib.mpf_sub(self.v._mpf_, o.v._mpf_, prec, rnd))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -400,7 +419,8 @@ class Approx:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return _approx(self.v * o.v)
+        prec, rnd = _prec_rounding
+        return _approx(_lib.mpf_mul(self.v._mpf_, o.v._mpf_, prec, rnd))
 
     __rmul__ = __mul__
 
@@ -410,7 +430,8 @@ class Approx:
             return NotImplemented
         if not o:
             raise DivByZero("division by (numerically) zero")
-        return _approx(self.v / o.v)
+        prec, rnd = _prec_rounding
+        return _approx(_lib.mpf_div(self.v._mpf_, o.v._mpf_, prec, rnd))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -419,15 +440,19 @@ class Approx:
         return o / self
 
     def sign(self):
-        v, eps = self.v, Approx.epsilon
-        if v >= eps:
+        # v >= eps and v <= -eps, as mpf's own comparisons evaluate them
+        v, eps = self.v._mpf_, Approx.epsilon._mpf_
+        if _lib.mpf_ge(v, eps):
             return 1
-        if v <= -eps:
+        if _lib.mpf_le(v, _lib.mpf_neg(eps, *_prec_rounding)):
             return -1
         return 0
 
     def near_tie(self):
-        return abs(self.v) < 10 * Approx.epsilon
+        # abs(v) < 10 * eps, as mpf's own operators evaluate it
+        eps = Approx.epsilon._mpf_
+        return _lib.mpf_lt(_lib.mpf_abs(self.v._mpf_, *_prec_rounding),
+                           _lib.mpf_mul_int(eps, 10, *_prec_rounding))
 
     def __eq__(self, other):
         try:
@@ -445,12 +470,14 @@ class Approx:
         return f"Approx({load_mpmath().nstr(self.v, 20)})"
 
 
-def _approx(v):
-    """Approx around an mpf result, without ``__init__``'s type test and copy.
+def _approx(val):
+    """Approx around a raw mpf value of mpmath.libmp, without ``__init__``.
 
-    Every mpf operation already rounds to the process-wide context, so the
+    Every kernel call already rounds to the process-wide context, so the
     value is stored as it is; like ``_reduce``, no arithmetic dunder runs.
     """
+    v = object.__new__(_mpf)
+    v._mpf_ = val
     r = object.__new__(Approx)
     r.v = v
     return r

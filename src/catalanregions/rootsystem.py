@@ -190,15 +190,7 @@ def _cos_pi_over(m):
 class Root:
     index: int          # position in the canonical ordering, 0-based
     coeffs: tuple       # coordinates in the simple-root basis
-    norm2: object
     orbit: int          # index of a simple root in the same reflection orbit
-
-    def to_json(self):
-        return {
-            "index": self.index,
-            "coeffs": [scalar_to_json(c) for c in self.coeffs],
-            "norm2": scalar_to_json(self.norm2),
-        }
 
 
 class RootSystem:
@@ -228,7 +220,10 @@ class RootSystem:
         return tuple(c - coef if j == i else c for j, c in enumerate(coeffs))
 
     def roots_to_json(self):
-        return [r.to_json() for r in self.positives]
+        return [{"index": r.index,
+                 "coeffs": [scalar_to_json(c) for c in r.coeffs],
+                 "norm2": scalar_to_json(self.inner(r.coeffs, r.coeffs))}
+                for r in self.positives]
 
 
 def evaluate(x, root):
@@ -243,11 +238,13 @@ def evaluate(x, root):
     return acc
 
 
-def _coeff_cmp(a, b):
-    s = sgn(sum(a[1:], a[0]) - sum(b[1:], b[0]))
+def _height_cmp(a, b):
+    """Order (height, coeffs, ...) tuples by height, then coefficient by
+    coefficient: the canonical order of the positive roots."""
+    s = sgn(a[0] - b[0])
     if s:
         return s
-    for x, y in zip(a, b):
+    for x, y in zip(a[1], b[1]):
         s = sgn(x - y)
         if s:
             return s
@@ -288,6 +285,12 @@ def build(spec):
     (Humphreys, Reflection Groups and Coxeter Groups, 1990, 1.4).  Taking
     s_j gamma, for j the smallest descent, as gamma's parent makes the
     positive roots a tree, so each is reached once and no negative root is.
+
+    Only the arithmetic the roots need is done: each root keeps the pairings
+    (beta|alpha_i) its descent signs are read from, and its reflections use
+    them in ``RootSystem.reflect``'s own expression; the canonical sort
+    computes each root's height once; and no norm is computed, as
+    ``roots_to_json`` evaluates its own.
     """
     row = coxeter_type(spec)
     gram, field = _gram_matrix(row)
@@ -296,30 +299,33 @@ def build(spec):
     # |Phi+| = nh/2 for the Coxeter number h (Humphreys 1990, 3.18)
     expected = n * (max(row.exponents) + 1) // 2
 
-    def signs(coeffs):
-        """sgn((coeffs|alpha_i)) for each simple index i."""
-        return [sgn(sum((c * gram[k][i] for k, c in enumerate(coeffs)), zero))
-                for i in range(n)]
+    def pairings(coeffs):
+        """(coeffs|alpha_i) for each simple index i, and their signs."""
+        pairs = [sum((c * gram[k][i] for k, c in enumerate(coeffs)), zero)
+                 for i in range(n)]
+        return pairs, [sgn(p) for p in pairs]
 
     # (coefficients, index of the simple root at the top of its tree)
     found = [(tuple(one if j == i else zero for j in range(n)), i)
              for i in range(n)]
-    frontier = [(c, top, signs(c)) for c, top in found]
+    frontier = [(c, top, *pairings(c)) for c, top in found]
     while frontier:
         nxt = []
-        for beta, top, beta_signs in frontier:
+        for beta, top, beta_pairs, beta_signs in frontier:
             for j in range(n):
                 if beta_signs[j] >= 0:
                     continue
-                gamma = rs.reflect(j, beta)
-                gamma_signs = signs(gamma)
+                coef = 2 * beta_pairs[j] / gram[j][j]
+                gamma = tuple(c - coef if k == j else c
+                              for k, c in enumerate(beta))
+                gamma_pairs, gamma_signs = pairings(gamma)
                 if any(s > 0 for s in gamma_signs[:j]):
                     continue
                 found.append((gamma, top))
                 if len(found) > expected:
                     raise ClosureOverflow(
                         f"more than the expected {expected} positive roots")
-                nxt.append((gamma, top, gamma_signs))
+                nxt.append((gamma, top, gamma_pairs, gamma_signs))
         frontier = nxt
     if len(found) != expected:
         raise ClosureOverflow(
@@ -333,7 +339,8 @@ def build(spec):
             lo, hi = sorted((orbit[i], orbit[j]))
             orbit = [lo if o == hi else o for o in orbit]
 
-    found.sort(key=functools.cmp_to_key(lambda a, b: _coeff_cmp(a[0], b[0])))
-    rs.positives = tuple(Root(i, c, rs.inner(c, c), orbit[top])
-                         for i, (c, top) in enumerate(found))
+    keyed = sorted(((sum(c[1:], c[0]), c, top) for c, top in found),
+                   key=functools.cmp_to_key(_height_cmp))
+    rs.positives = tuple(Root(i, c, orbit[top])
+                         for i, (_, c, top) in enumerate(keyed))
     return rs

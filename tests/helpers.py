@@ -43,7 +43,6 @@ from catalanregions.rootsystem import (
     Root,
     RootSystem,
     SystemSpec,
-    _coeff_cmp,
     _gram_matrix,
     coxeter_type,
     evaluate,
@@ -74,6 +73,19 @@ def matches_reference_report(label, data):
 
 
 CLOSURE_CAP = 10_000
+
+
+def _coeff_cmp(a, b):
+    """The canonical order of coefficient vectors, for the closure oracle:
+    by height, then coefficient by coefficient."""
+    s = sgn(sum(a[1:], a[0]) - sum(b[1:], b[0]))
+    if s:
+        return s
+    for x, y in zip(a, b):
+        s = sgn(x - y)
+        if s:
+            return s
+    return 0
 
 
 class _SeenSet:
@@ -138,8 +150,17 @@ def positive_roots_by_closure(spec):
             f"closure produced {len(positives)} positive roots, expected {expected}")
 
     orbit_of = _orbits(rs, simples, positives)
-    return tuple(
-        Root(i, c, rs.inner(c, c), orbit_of[i]) for i, c in enumerate(positives))
+    return tuple(Root(i, c, orbit_of[i]) for i, c in enumerate(positives))
+
+
+def norm_matches_orbit(rs, root):
+    """(beta|beta) equals the Gram diagonal of the simple root naming beta's
+    orbit: exactly on an exact field, within the tolerance on Approx."""
+    norm = rs.inner(root.coeffs, root.coeffs)
+    simple = rs.gram[root.orbit][root.orbit]
+    if rs.field == "approx":
+        return is_zero(norm - simple)
+    return norm == simple
 
 
 def _orbits(rs, simples, positives):

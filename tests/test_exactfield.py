@@ -163,6 +163,73 @@ def test_approx_precision_survives_negation():
     assert abs((Approx(1) / 3 * 3 - 1).v) < mpmath.mpf("1e-55")
 
 
+def _kernel_operands(rng):
+    """Approx, int and Fraction operands of both signs, some around epsilon."""
+    eps = Approx.epsilon
+    tiny = mpmath.mpf("1e-40")
+    values = [mpmath.mpf(rng.getrandbits(220)) / rng.getrandbits(200)
+              for _ in range(8)]
+    values += [eps, 10 * eps, eps * (1 - tiny), eps * (1 + tiny),
+               10 * eps * (1 - tiny), 10 * eps * (1 + tiny), eps / 3,
+               mpmath.mpf(0)]
+    approx = [Approx(s * v) for v in values for s in (1, -1)]
+    rational = [rng.randint(-9, 9) for _ in range(4)]
+    rational += [Q(rng.randint(-50, 50), rng.randint(2, 50)) for _ in range(4)]
+    return approx, rational
+
+
+def _as_reference_mpf(x):
+    """The mpf an operand enters Approx arithmetic as: its own, or an int or
+    Fraction converted as ``Approx.__init__`` converts it."""
+    if isinstance(x, Approx):
+        return x.v
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _check_kernel_against_mpf(rng):
+    eps = Approx.epsilon
+    approx, rational = _kernel_operands(rng)
+    for a in approx:
+        v = a.v
+        assert (-a).v._mpf_ == (-v)._mpf_
+        assert a.sign() == (1 if v >= eps else -1 if v <= -eps else 0)
+        assert a.near_tie() == (abs(v) < 10 * eps)
+        for b in approx + rational:
+            w = _as_reference_mpf(b)
+            assert (a + b).v._mpf_ == (v + w)._mpf_
+            assert (a - b).v._mpf_ == (v - w)._mpf_
+            assert (a * b).v._mpf_ == (v * w)._mpf_
+            if isinstance(b, Approx) and not b.sign():
+                with pytest.raises(DivByZero):
+                    a / b
+            else:
+                assert (a / b).v._mpf_ == (v / w)._mpf_
+            if not isinstance(b, Approx):
+                # the reflected dunders, with the int or Fraction on the left
+                assert (b + a).v._mpf_ == (w + v)._mpf_
+                assert (b - a).v._mpf_ == (w - v)._mpf_
+                assert (b * a).v._mpf_ == (w * v)._mpf_
+                if a.sign():
+                    assert (b / a).v._mpf_ == (w / v)._mpf_
+                else:
+                    with pytest.raises(DivByZero):
+                        b / a
+
+
+def test_approx_kernel_is_bit_identical_to_mpf_operators(monkeypatch):
+    # Approx computes on mpmath.libmp directly; every result, sign and tie
+    # flag must be what mpf's own operators give on the same values, at the
+    # context's precision, whatever the tolerance
+    rng = random.Random(30)
+    _check_kernel_against_mpf(rng)
+    with mpmath.workdps(80):
+        _check_kernel_against_mpf(rng)
+    monkeypatch.setattr(Approx, "epsilon", mpmath.mpf("1e-10"))
+    _check_kernel_against_mpf(rng)
+    with mpmath.workdps(80):
+        _check_kernel_against_mpf(rng)
+
+
 @pytest.mark.parametrize("make", [
     lambda a, b: Q(a + 2 * b, 3),
     lambda a, b: tau(Q(a, 3), b),

@@ -23,6 +23,7 @@ from catalanregions.rootsystem import (
     CoxeterType,
     NonPositiveRatio,
     OddRatioNotOne,
+    RootSystem,
     SystemSpec,
     _gram_matrix,
     _path,
@@ -32,7 +33,8 @@ from catalanregions.rootsystem import (
     evaluate,
     parse_spec,
 )
-from helpers import positive_roots_by_closure
+from helpers import REGION_SPECS, norm_matches_orbit, positive_roots_by_closure
+from test_weyl import WEYL_TYPES
 
 
 def test_positive_root_counts():
@@ -52,12 +54,34 @@ def test_build_matches_closure_oracle():
     specs.append(SystemSpec("I2", 6, Approx(1)))
     assert build(specs[-1]).field == "approx"
     for spec in specs:
-        got = build(spec).positives
+        rs = build(spec)
         want = positive_roots_by_closure(spec)
-        # Root equality covers index, coeffs, norm2 and orbit; the JSON
-        # covers the printed digits
-        assert got == want, spec
-        assert [r.to_json() for r in got] == [r.to_json() for r in want], spec
+        # Root equality covers index, coeffs and orbit; the JSON covers the
+        # printed digits, norms included
+        assert rs.positives == want, spec
+        oracle = RootSystem(spec, rs.gram, want, rs.field)
+        assert rs.roots_to_json() == oracle.roots_to_json(), spec
+
+
+def test_build_computes_no_inner_product(monkeypatch):
+    # build reads its pairings off the descent signs and leaves the norms
+    # to roots_to_json
+    monkeypatch.setitem(rootsystem.COXETER_TYPES, "F4", WEYL_TYPES["F4"])
+
+    def forbidden(self, u, w):
+        raise AssertionError("build called RootSystem.inner")
+
+    monkeypatch.setattr(RootSystem, "inner", forbidden)
+    for label in ("H4", "I2:12", "I2:8:r=1.3", "F4"):
+        assert build(parse_spec(label)).positives, label
+
+
+@pytest.mark.parametrize("group", sorted(REGION_SPECS))
+def test_norms_match_orbits(group):
+    # reflections preserve the norm, so each root has its orbit's length
+    for spec in REGION_SPECS[group]:
+        rs = build(spec)
+        assert all(norm_matches_orbit(rs, r) for r in rs.positives), spec
 
 
 def test_infinite_group_raises_closure_overflow(monkeypatch):
@@ -262,7 +286,7 @@ def test_all_coefficients_nonnegative():
         for r in rs.positives:
             assert all(sgn(c) >= 0 for c in r.coeffs)
             assert any(sgn(c) > 0 for c in r.coeffs)
-            assert sgn(r.norm2) > 0
+            assert sgn(rs.inner(r.coeffs, r.coeffs)) > 0
 
 
 def test_canonical_order_is_by_height():

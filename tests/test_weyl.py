@@ -22,6 +22,7 @@ from helpers import (
     RootPosetReference,
     int_c_digest,
     int_c_matches_certified_run,
+    norm_matches_orbit,
     witness_sign_type_reference,
 )
 
@@ -78,6 +79,7 @@ def test_weyl_census_matches_theorems(monkeypatch, name):
         assert rs.field == "rational"
     roots, cat, cat_positive = WEYL_COUNTS[name]
     assert len(rs.positives) == roots
+    assert all(norm_matches_orbit(rs, r) for r in rs.positives)
     poset = RootPoset(rs)
     # the per-coordinate runs hold many ties here; compare every pair
     ref = RootPosetReference(rs)

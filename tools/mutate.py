@@ -90,10 +90,6 @@ EQUIVALENT = {
      "if other.rel is not self.rel and other.rel != self.rel:", "And -> Or",
      "other.rel is not self.rel and other.rel != self.rel"):
         "relations are module singletons, so 'is not' and '!=' agree",
-    ("exactfield.py", "return abs(self.v) < 10 * Approx.epsilon",
-     "Lt -> LtE", "abs(self.v) < 10 * Approx.epsilon"):
-        "no computed value lands exactly on the 10 * epsilon boundary, whose "
-        "side is a choice of tolerance, not of sign",
 }
 
 

@@ -225,7 +225,10 @@ def default_ratio_grid(m):
     """Critical ratios sin(k pi/m)/sin(l pi/m), the midpoints between them and
     one ratio beyond the largest, all in the ratios' own field: exact for
     m <= 6, Approx above.  They are sorted and deduplicated by ``sgn`` too,
-    each value labelled by its last (k, l)."""
+    each value labelled by its last (k, l).  For even m the census is
+    constant between critical ratios, so the grid's rows cover every r > 0:
+    the argument is in ``tests/test_classifier.py``,
+    ``test_ratio_grid_covers_every_ratio``."""
     crit = [(f"sin({k})/sin({l})",
              _resolve_ratio(SystemSpec(DIHEDRAL, m, ("sin", k, l))))
             for k in range(1, m // 2 + 1) for l in range(1, m // 2 + 1)]

@@ -19,8 +19,7 @@ from .classifier import (
     classify_system,
     sweep_ratio,
 )
-from .exactfield import scalar_to_json
-from .feasibility import OrderCertificate
+from .exactfield import FIELD_TAGS, scalar_to_json
 from .render import RankNotTwo, figure_svg, require_rank_two
 from .rootposet import RootPoset
 from .rootsystem import COXETER_TYPES, _resolve_ratio, build, parse_spec
@@ -35,19 +34,11 @@ def _members(antichain):
 
 
 def _certificate_json(cert):
-    if cert is None:
-        return None
-    if isinstance(cert, OrderCertificate):
-        return {
-            "kind": "order",
-            "lower": [[i + 1, scalar_to_json(w)] for i, w in cert.lower],
-            "upper": [[i + 1, scalar_to_json(w)] for i, w in cert.upper],
-        }
+    """An empty region's ``OrderCertificate``, with 1-based root numbers."""
     return {
-        "kind": "farkas",
-        "ge": [scalar_to_json(x) for x in cert["ge"]],
-        "le": [scalar_to_json(x) for x in cert["le"]],
-        "eq": [scalar_to_json(x) for x in cert["eq"]],
+        "kind": "order",
+        "lower": [[i + 1, scalar_to_json(w)] for i, w in cert.lower],
+        "upper": [[i + 1, scalar_to_json(w)] for i, w in cert.upper],
     }
 
 
@@ -107,10 +98,11 @@ def report_to_json(report):
 
 def report_schema():
     """JSON schema for the classification report."""
+    fields = {"enum": list(FIELD_TAGS)}
     scalar = {
         "type": "object",
         "properties": {
-            "field": {"enum": ["rational", "tau", "sqrt2", "sqrt3", "approx"]},
+            "field": fields,
             "a": {"type": "string"},
             "b": {"type": "string"},
             "value": {"type": "string"},
@@ -118,7 +110,14 @@ def report_schema():
         "required": ["field"],
         "additionalProperties": False,
     }
-    members = {"type": "array", "items": {"type": "integer", "minimum": 1}}
+    root = {"type": "integer", "minimum": 1}
+    members = {"type": "array", "items": root}
+    pairs = {"type": "array", "items": {  # [root number, convex weight]
+        "type": "array", "items": [root, scalar], "minItems": 2,
+        "additionalItems": False}}
+    certificate = {"type": "object", "properties": {
+        "kind": {"const": "order"}, "lower": pairs, "upper": pairs},
+        "required": ["kind", "lower", "upper"], "additionalProperties": False}
     return {
         "$schema": "http://json-schema.org/draft-07/schema#",
         "type": "object",
@@ -132,8 +131,7 @@ def report_schema():
                 },
                 "required": ["label", "family"],
             },
-            "field_backend": {
-                "enum": ["rational", "tau", "sqrt2", "sqrt3", "approx"]},
+            "field_backend": fields,
             "antichains": {
                 "type": "array",
                 "items": {
@@ -143,7 +141,7 @@ def report_schema():
                         "status": {"enum": ["NonEmpty", "Empty", "Degenerate"]},
                         "method": {"enum": ["Propagated", "LP"]},
                         "witness": {"type": "array", "items": scalar},
-                        "certificate": {"type": "object"},
+                        "certificate": certificate,
                         "bounded": {"type": "boolean"},
                     },
                     "required": ["members", "status", "method"],

@@ -90,6 +90,8 @@ REL_TAU = (1, 1, "tau")
 REL_SQRT2 = (0, 2, "sqrt2")
 REL_SQRT3 = (0, 3, "sqrt3")
 _REL_BY_NAME = {"tau": REL_TAU, "sqrt2": REL_SQRT2, "sqrt3": REL_SQRT3}
+# the tags ``field_tag`` returns: a report's field backend and each scalar's
+FIELD_TAGS = ("rational", *_REL_BY_NAME, "approx")
 
 
 def _qsign(r):

@@ -8,11 +8,10 @@ refutation.  The elimination carries no multipliers; only a refutation runs
 it again with them, to read off its Farkas certificate.  Regions mix many
 strict rows and go through the LP engine in the chamber coordinates v >= 0
 themselves, maximising a uniform slack t (capped at 1): the open polyhedron
-is nonempty iff the optimum t* is positive.  An empty dominant region first
-tries a second LP for the more readable root-order certificate (a convex
-comparison between the two antichains bounding the region); only when there
-is none do the region LP's duals become a Farkas certificate, once the
-chamber rows v_i > 0 absorb what they leave on v.
+is nonempty iff the optimum t* is positive.  An empty dominant region is
+certified only by a second LP's root-order certificate, a convex comparison
+between the two antichains bounding the region; of the census's systems
+only H4 has empty regions.
 
 On an exact field the simplex tableau holds ints, not scalars: a row is
 integer numerators X, Y over one positive row denominator D, entry j being
@@ -21,11 +20,11 @@ rationals).  Pivots multiply by conjugates over norms, signs use the
 quadratic sign rule that ``QuadExt.sign`` uses, and only the values read
 back become scalars.  Approx rows stay lists of scalars; one Bland driver,
 ``lp_max``, runs both.  ``exactfield.int_row`` defines the row format.  Both
-LPs' tableaux, the region LP's and the order certificate's, and Int_C's
-[B | 1] are written in their final form from the poset's integer root rows
-(the roots' coefficient tuples on Approx), with no scalar arithmetic, and
-the same root rows serve the read-back: ``witness_sign_type`` signs each
-(v|beta) - 1 on the witness's row and the root rows.
+LPs' tableaux and Int_C's [B | 1] are written in their final form from the
+poset's integer root rows (the roots' coefficient tuples on Approx, which
+runs no order LP), with no scalar arithmetic, and the same root rows serve
+the read-back: ``witness_sign_type`` signs each (v|beta) - 1 on the
+witness's row and the root rows.
 
 The census solves a region LP only for the antichains that no good maximal
 antichain covers: on H4, 28 decision LPs and 16 certificates.  A propagated
@@ -70,9 +69,9 @@ def lp_max(tab):
     column in ``tab.basis``, then the objective row and, when there are
     artificial columns, the phase-1 row.  Returns "optimal", "unbounded" or
     "infeasible", where "infeasible" means the rows admit no x >= 0 at all.
-    The tableau then reads back only what its caller asks for: ``x`` and
-    ``duals`` at an optimum, the phase-1 ``duals`` (a Farkas combination)
-    after "infeasible".
+    The tableau then reads back only what its caller asks for: ``x`` at an
+    optimum, and ``duals``, the row multipliers, at an optimum or, as the
+    phase-1 Farkas combination, after "infeasible".
 
     Exact fields pivot on integer rows (``_IntRows``), Approx on scalar rows
     (``_ScalarRows``); both take the same pivots, so the results are the
@@ -175,9 +174,8 @@ class _ScalarRows(_Tableau):
     """Tableau rows as lists of scalars, for the Approx backend."""
 
     def append_root(self, root, units):
-        """Row with a root's coefficients, or another scalar row (a list, or
-        None for none), in its first columns and the entries ``units``
-        (column -> +-1)."""
+        """Row with a root's coefficients (None for none) in its first
+        columns and the entries ``units`` (column -> +-1)."""
         zero, one = self.zero, self.one
         row = [zero] * (self.total + 1)
         if root is not None:
@@ -363,7 +361,6 @@ class FeasibilityResult:
     status: str                  # "Feasible" | "Infeasible" | "Degenerate"
     witness: tuple | None = None
     farkas: dict | None = None   # {"ge": [...], "le": [...], "eq": [...]}
-    duals: list | None = None    # a refuting region LP's row multipliers
 
 
 def check_farkas(sys, cert, zero):
@@ -411,7 +408,7 @@ class OrderCertificate:
 class RegionVerdict:
     antichain: tuple
     status: str               # "NonEmpty" | "Empty" | "Degenerate"
-    certificate: object = None  # OrderCertificate or farkas dict
+    certificate: object = None  # the OrderCertificate of an Empty verdict
     bounded: bool | None = None
     method: str = "LP"        # "Propagated" | "LP"
     poset: object = field(default=None, repr=False, compare=False)
@@ -629,9 +626,7 @@ def _region_tableau(poset, antichain, icmax):
 
 def _region_lp(poset, antichain, icmax):
     """Solve the region LP: Feasible with a witness when the optimal margin
-    t* is positive, Degenerate on an Approx near tie, otherwise Infeasible
-    with the LP's duals (the phase-1 duals when even the closed region is
-    empty)."""
+    t* is positive, Degenerate on an Approx near tie, otherwise Infeasible."""
     tab = _region_tableau(poset, antichain, icmax)
     status = lp_max(tab)
     if status == "unbounded":  # t is capped, so never reached
@@ -643,34 +638,13 @@ def _region_lp(poset, antichain, icmax):
             return FeasibilityResult("Degenerate")
         if sgn(x[n]) > 0:
             return FeasibilityResult("Feasible", witness=tuple(x[:n]))
-    return FeasibilityResult("Infeasible", duals=tab.duals())
-
-
-def _farkas_certificate(poset, antichain, duals):
-    """The region LP's duals as a Farkas certificate of ``region_system``.
-
-    The duals combine the LP's rows into 0 > c0 >= 0 up to a remainder
-    r >= 0 on v, which the chamber rows v_i > 0 absorb.  The certificate is
-    re-checked before it is returned.
-    """
-    zero = poset.system.zero
-    sys, _ = region_system(poset, antichain)
-    ge, k = len(sys.strict_ge), len(antichain)
-    # the LP's rows on v: a > b enters as -a, a < b as a, and the cap as 0
-    rows = [[zero - c for c in a] for a, _ in sys.strict_ge]
-    rows += [a for a, _ in sys.strict_le]
-    lam_ge = duals[:ge]
-    for i in range(sys.n):
-        lam_ge[k + i] += sum((y * a[i] for y, a in zip(duals, rows)), zero)
-    cert = {"ge": lam_ge, "le": duals[ge:-1], "eq": []}
-    check_farkas(sys, cert, zero)
-    return cert
+    return FeasibilityResult("Infeasible")
 
 
 def region_status(poset, antichain):
     """Decide emptiness of the dominant region of an antichain (maybe empty),
-    and the boundedness of a nonempty one.  An empty region carries an order
-    certificate when one exists, else the LP's Farkas certificate."""
+    and the boundedness of a nonempty one.  An empty region carries its order
+    certificate, or AssertionError names the antichain."""
     antichain = tuple(antichain)
     icmax = _icmax(poset, antichain)
     res = _region_lp(poset, antichain, icmax)
@@ -683,11 +657,8 @@ def region_status(poset, antichain):
     else:
         verdict.status = "Empty"
         cert = order_certificate(poset, antichain, icmax)
-        if cert is None:
-            cert = _farkas_certificate(poset, antichain, res.duals)
-        elif not check_order_certificate(poset, cert):
-            raise AssertionError(
-                f"order certificate of {antichain} does not check")
+        if cert is None or not check_order_certificate(poset, cert):
+            raise AssertionError(f"no order certificate of {antichain} checks")
         verdict.certificate = cert
     return verdict
 
@@ -701,32 +672,21 @@ def _order_tableau(poset, imin, icmax):
     per row, one artificial per ">= 1" row, then the rhs.  Rows: sum(c) <= 1,
     then sum(c) >= 1 stored negated with its artificial, the same pair for d,
     then one row per coordinate; the objective has -ht(beta) on c and
-    +ht(gamma) on d.  On an exact field a coordinate row is the roots' rows
-    (A, B, E) of ``poset.rows``, transposed and signed, over lcm(E) and in
-    lowest terms; Approx forms its rows from the coefficient tuples, and its
-    objective by subtracting each coordinate row in turn.
+    +ht(gamma) on d.  A coordinate row is the roots' rows (A, B, E) of
+    ``poset.rows``, transposed and signed, over lcm(E) and in lowest terms.
     """
-    rs = poset.system
-    n, k = rs.rank, len(imin)
+    n, k = poset.system.rank, len(imin)
     nv, m = k + len(icmax), n + 4
     slack, rhs = nv, nv + m + 2
     tab, roots = _storage(poset, (*imin, *icmax), nv, m, 2)
-    if isinstance(tab, _ScalarRows):
-        zero = rs.zero
-        coords = [[r[s] for r in roots[:k]] + [zero - r[s] for r in roots[k:]]
-                  for s in range(n)]
-        objective = [zero] * nv
-        for row in coords:
-            objective = [o - c for o, c in zip(objective, row)]
-    else:
-        d = lcm(*(e for _, _, e in roots))
-        ax, bx = [], []
-        for j, (a, b, e) in enumerate(roots):
-            f = d // e if j < k else -(d // e)
-            ax.append([f * v for v in a])
-            bx.append([f * v for v in b])
-        coords = [_lowest(x, y, d) for x, y in zip(zip(*ax), zip(*bx))]
-        objective = _lowest([-sum(a) for a in ax], [-sum(b) for b in bx], d)
+    d = lcm(*(e for _, _, e in roots))
+    ax, bx = [], []
+    for j, (a, b, e) in enumerate(roots):
+        f = d // e if j < k else -(d // e)
+        ax.append([f * v for v in a])
+        bx.append([f * v for v in b])
+    coords = [_lowest(x, y, d) for x, y in zip(zip(*ax), zip(*bx))]
+    objective = _lowest([-sum(a) for a in ax], [-sum(b) for b in bx], d)
     for side, cols in enumerate((range(k), range(k, nv))):
         ones = dict.fromkeys(cols, 1)
         tab.append_root(None, {**ones, slack + 2 * side: 1, rhs: 1})
@@ -746,9 +706,10 @@ def order_certificate(poset, imin, icmax):
 
     Such a comparison sum(c*beta) < sum(d*gamma) in the root order refutes the
     region directly: any interior point would evaluate above 1 on the left
-    and below 1 on the right.
+    and below 1 on the right.  None when a side is empty, and on Approx,
+    which has no integer rows (and, in I2(m), no empty region).
     """
-    if not imin or not icmax:
+    if poset.rows is None or not imin or not icmax:
         return None
     tab = _order_tableau(poset, imin, icmax)
     # the objective row's rhs holds minus the optimum, which must be positive

@@ -18,7 +18,8 @@ from catalanregions.classifier import (
 )
 from catalanregions import (classifier, cli, exactfield, feasibility,
                             rootposet)
-from catalanregions.exactfield import Approx, is_zero, scalar_to_json, sgn
+from catalanregions.exactfield import (Approx, is_zero, scalar_to_json, sgn,
+                                        sorted_runs)
 from catalanregions.feasibility import (
     FeasibilityResult,
     region_status,
@@ -385,6 +386,66 @@ def test_default_grid_sorted():
 def test_default_grid_exact_up_to_six(m):
     # midpoints and beyond_max stay in the field of the critical ratios
     assert not any(isinstance(r, Approx) for _, r in default_ratio_grid(m))
+
+
+@pytest.mark.parametrize("m", range(2, 41, 2))
+def test_ratio_grid_covers_every_ratio(m):
+    """The census of I2(m), m even, is constant between the critical ratios
+    of ``default_ratio_grid``, so ``sweep``'s rows hold for every r > 0.
+
+    Take x and y from the roots at r = 1.  At ratio r a root of alpha_1's
+    orbit has coefficients (x, y/r) and one of alpha_2's (x*r, y): the
+    orbits scale uniformly, and the first check below asserts this at the
+    grid's ``beyond_max``.  Then the test asserts three things:
+
+    1. Each orbit is a chain in the root order.  Scaling a whole orbit keeps
+       its order, so this holds for every r.  Two lines (beta|v) = 1 of one
+       orbit never cross inside the chamber, and no three lines meet there:
+       the arrangement is simple for every r.  With Zaslavsky's theorem it
+       then has 1 + #roots + #incomparable pairs regions, since in rank 2
+       two lines cross in the chamber iff their roots are incomparable.
+       That is the number of antichains, since an antichain holds at most
+       one root of each orbit.
+    2. Every tie ratio is a critical ratio under ``sgn``.  The order of
+       beta in alpha_1's orbit and gamma in alpha_2's changes only where a
+       coordinate ties, x_beta = r*x_gamma or y_beta = r*y_gamma.  So the
+       order, and every count, is constant on each open interval between
+       grid ratios, and each such interval holds a midpoint row.
+    3. The critical ratios are closed under r -> 1/r, so ``beyond_max``
+       also stands for the interval (0, min).
+    """
+    p = RootPoset(build(SystemSpec("I2", m)))
+    grid = default_ratio_grid(m)
+    r = grid[-1][1]
+
+    def scaled(root):
+        x, y = root.coeffs
+        return (root.orbit, (x, y / r) if root.orbit == 0 else (x * r, y))
+
+    def same(u, w):
+        return u[0] == w[0] and all(not sgn(a - b)
+                                    for a, b in zip(u[1], w[1]))
+
+    at_r = [(root.orbit, root.coeffs)
+            for root in build(SystemSpec("I2", m, r)).positives]
+    assert len(at_r) == m
+    assert all(any(same(scaled(root), u) for u in at_r)
+               for root in p.system.positives)
+
+    orbits = [[root for root in p.system.positives if root.orbit == o]
+              for o in (0, 1)]
+    assert all(p.comparable(b.index, g.index)
+               for orbit in orbits for b in orbit for g in orbit)
+
+    crit = [ratio for label, ratio in grid if label.startswith("sin(")]
+    ties = [b.coeffs[s] / g.coeffs[s] for b in orbits[0] for g in orbits[1]
+            for s in (0, 1) if sgn(b.coeffs[s]) and sgn(g.coeffs[s])]
+    # every pair in both coordinates, but for the simple roots' zeros
+    assert len(ties) == (m // 2) ** 2 * 2 - m
+    runs = sorted_runs([(False, t) for t in ties] + [(True, c) for c in crit],
+                       key=lambda entry: entry[1])
+    assert all(any(is_crit for is_crit, _ in run) for run in runs), m
+    assert all(not sgn(1 / c - d) for c, d in zip(reversed(crit), crit))
 
 
 @pytest.mark.parametrize("m", [4, 6])

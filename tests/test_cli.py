@@ -93,9 +93,21 @@ def test_h4_report_validates(h4_report):
     assert doc["counts"]["regions"] == 413
     empties = [a for a in doc["antichains"] if a["status"] == "Empty"]
     assert len(empties) == 16
-    assert all("certificate" in a for a in empties)
+    # the schema has checked each one's shape: kind, root numbers, weights
+    assert all(a["certificate"]["kind"] == "order" for a in empties)
     nonempty = [a for a in doc["antichains"] if a["status"] == "NonEmpty"]
     assert all("witness" in a and "bounded" in a for a in nonempty)
+    # the order comparison is the only certificate kind, and a weight pair
+    # has both of its entries
+    cert = empties[0]["certificate"]
+    one = {"a": "1", "field": "rational"}
+    for bad in ({"kind": "farkas", "ge": [one], "le": [one], "eq": []},
+                {**cert, "kind": "farkas"},
+                {**cert, "lower": [[1]]},
+                {**cert, "upper": [[0, one]]}):
+        empties[0]["certificate"] = bad
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, report_schema())
 
 
 # sha256 of `classify` stdout on the Approx backend, pinned like H3 and H4

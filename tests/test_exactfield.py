@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catalanregions.exactfield import (
+    FIELD_TAGS,
     REL_SQRT2,
     REL_SQRT3,
     REL_TAU,
@@ -329,6 +330,9 @@ def test_field_tags():
     assert field_tag(sqrt2()) == "sqrt2"
     assert field_tag(Approx(1)) == "approx"
     assert field_tag(Q(1, 2)) == "rational"
+    # the report schema's field enum lists each tag once
+    tags = [field_tag(x) for x in (Q(1), tau(), sqrt2(), sqrt3(), Approx(1))]
+    assert sorted(FIELD_TAGS) == sorted(tags)
 
 
 def test_json_round_trip():

@@ -8,13 +8,11 @@ import pytest
 
 from catalanregions import feasibility
 from catalanregions.classifier import classify_all, default_ratio_grid
-from catalanregions.cli import report_to_json
 from catalanregions.exactfield import (
     Approx,
     Q,
     TagMismatch,
     is_zero,
-    scalar_from_json,
     sgn,
     sqrt2,
     sqrt3,
@@ -210,7 +208,8 @@ def test_solve_matches_reference_on_h3_regions(h3_poset, monkeypatch):
 def test_region_tableau_matches_generic_assembly(group):
     # written from the root rows, the region and order-certificate LPs'
     # tableaux hold the rows, columns and basis that tableau builds from
-    # their scalar rows, and the order certificates equal the generic path's
+    # their scalar rows, and the order certificates equal the generic path's;
+    # Approx has no integer rows and no order certificate
     def entries(tab):
         return [[x.v for x in row] if isinstance(row[0], Approx) else row
                 for row in tab.rows]
@@ -221,10 +220,6 @@ def test_region_tableau_matches_generic_assembly(group):
                 == (want.n, want.m, want.total, want.arts, want.basis)), a
         assert entries(got) == entries(want), a
 
-    def weights(cert):
-        return cert and [(i, w.v if isinstance(w, Approx) else w)
-                         for i, w in cert.lower + cert.upper]
-
     orders = 0
     for spec in REGION_SPECS[group]:
         p = RootPoset(build(spec))
@@ -233,21 +228,21 @@ def test_region_tableau_matches_generic_assembly(group):
             sys, icmax = region_system(p, a)
             same(feasibility._region_tableau(p, a, icmax),
                  tableau(*slack_lp(sys, rs.zero, rs.one), rs.zero, rs.one), a)
-            if a and icmax:
-                orders += 1
+            cert = feasibility.order_certificate(p, a, icmax)
+            if p.rows is None:
+                assert cert is None, a
+            elif a and icmax:
                 same(feasibility._order_tableau(p, a, icmax),
                      tableau(*order_lp(p, a, icmax), rs.zero, rs.one), a)
-                assert (weights(feasibility.order_certificate(p, a, icmax))
-                        == weights(order_certificate_generic(p, a, icmax))), a
+                assert cert == order_certificate_generic(p, a, icmax), a
+            orders += bool(a and icmax)
     assert orders
 
 
 @pytest.mark.parametrize("group", sorted(REGION_SPECS))
-def test_solve_matches_solve_reference(group, monkeypatch):
+def test_solve_matches_solve_reference(group):
     # the region LP in chamber coordinates against the free-variable LP;
-    # without order certificates every empty region keeps the LP's folded
-    # duals, which equal solve's and re-check
-    monkeypatch.setattr(feasibility, "order_certificate", lambda *args: None)
+    # every empty region carries an order certificate that re-checks
     infeasible = 0
     for spec in REGION_SPECS[group]:
         p = RootPoset(build(spec))
@@ -259,8 +254,8 @@ def test_solve_matches_solve_reference(group, monkeypatch):
             assert ((AS_SOLVED[v.status], v.witness)
                     == (ref.status, ref.witness)), a
             if v.status == "Empty":
-                assert v.certificate == solve(sys, rs.zero, rs.one).farkas, a
-                assert check_farkas(sys, v.certificate, rs.zero)
+                assert isinstance(v.certificate, OrderCertificate), a
+                assert check_order_certificate(p, v.certificate), a
                 infeasible += 1
     assert infeasible == (16 if group == "H4" else 0)
 
@@ -624,19 +619,16 @@ def test_order_certificates_on_h4_empties(h4_report, h4_poset):
         assert check_order_certificate(h4_poset, v.certificate)
 
 
-def test_farkas_fallback_rechecks_from_report(h4_poset, monkeypatch):
-    # without order certificates every H4 empty keeps the region LP's folded
-    # duals, and each re-checks from its report JSON alone
+def test_region_status_raises_without_order_certificate(h4_report, h4_poset,
+                                                        monkeypatch):
+    # the order certificate is an empty region's only certificate: without
+    # one, each of the 16 H4 empties raises, naming its antichain
     monkeypatch.setattr(feasibility, "order_certificate", lambda *args: None)
-    entries = [e for e in report_to_json(classify_all(h4_poset))["antichains"]
-               if "certificate" in e]
-    assert len(entries) == 16
-    for e in entries:
-        assert e["certificate"]["kind"] == "farkas"
-        cert = {key: [scalar_from_json(x) for x in e["certificate"][key]]
-                for key in ("ge", "le", "eq")}
-        sys, _ = region_system(h4_poset, tuple(i - 1 for i in e["members"]))
-        assert check_farkas(sys, cert, h4_poset.system.zero)
+    empties = [v.antichain for v in h4_report.verdicts if v.status == "Empty"]
+    assert len(empties) == 16
+    for a in empties:
+        with pytest.raises(AssertionError, match=re.escape(str(a))):
+            region_status(h4_poset, a)
 
 
 def test_region_status_rechecks_order_certificate(h4_report, h4_poset,

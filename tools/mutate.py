@@ -75,10 +75,6 @@ EQUIVALENT = {
     ("feasibility.py",
      "if s > 0 or (s == 0 and basis[i] > basis[leave]):", "Gt -> GtE",
      "basis[i] > basis[leave]"): "two rows never share a basic column",
-    ("feasibility.py", "if not imin or not icmax:", "Or -> And",
-     "not imin or not icmax"):
-        "an empty side makes its convex-weight row read 0 = 1, so the LP is "
-        "infeasible and None is returned all the same",
     ("exactfield.py", "if mpmath.mp.dps < DECIMAL_DPS:", "Lt -> LtE",
      "mpmath.mp.dps < DECIMAL_DPS"):
         "at exactly DECIMAL_DPS digits the assignment sets what is there",

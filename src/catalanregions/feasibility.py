@@ -1,11 +1,10 @@
 """Exact linear feasibility over an ordered field.
 
 Int_C(A), the chamber points at level one on an antichain, is decided by
-elimination: row reduction of the equalities, on the same rows and with the
-same pivot as the LPs, then Fourier-Motzkin in scalars over the at most
-rank - 1 null-space parameters, which yields an exact witness or a
-refutation.  The elimination carries no multipliers; only a refutation runs
-it again with them, to read off its Farkas certificate.  Regions mix many
+one elimination on the LPs' rows: row reduction of the equalities with
+their pivot, then Fourier-Motzkin over the at most rank - 1 free columns,
+which yields an exact witness or a refutation whose Farkas certificate is
+read off the refuting row.  Regions mix many
 strict rows and go through the LP engine in the chamber coordinates v >= 0
 themselves, maximising a uniform slack t (capped at 1): the open polyhedron
 is nonempty iff the optimum t* is positive.  An empty dominant region is
@@ -139,8 +138,8 @@ class _Tableau:
     the artificials, then the rhs at ``total``.  No starting basic column
     has a phase-2 cost, and phase 1 maximises -sum(artificials), which
     prices out as the sum of the rows that hold them (``append_sum``).
-    ``int_c`` reduces its equalities in a tableau with no basis, where a
-    row's slack columns hold its combination of the equalities.
+    ``int_c`` eliminates in a tableau with no basis, where a row's slack
+    columns hold its combination of the equalities.
     """
 
     def __init__(self, n, m, arts, zero, one):
@@ -205,15 +204,22 @@ class _ScalarRows(_Tableau):
     def compare(self, a, b):
         return sgn(a - b)
 
+    def combine(self, p, q, f):
+        """q[f]*p - p[f]*q, positive weights when p[f] < 0 < q[f]."""
+        a, b = q[f], self.zero - p[f]
+        return [a * x + b * y for x, y in zip(p, q)]
+
     def pivot(self, r, c):
         tab = self.rows
         inv = self.one / tab[r][c]
         tab[r] = prow = [v * inv for v in tab[r]]
-        nonzero = [j for j, v in enumerate(prow) if not is_zero(v)]
+        nonzero = None
         for k, row in enumerate(tab):
             f = row[c]
             if k == r or is_zero(f):
                 continue
+            if nonzero is None:
+                nonzero = [j for j, v in enumerate(prow) if not is_zero(v)]
             for j in nonzero:
                 row[j] -= f * prow[j]
 
@@ -279,6 +285,20 @@ class _IntRows(_Tableau):
         return quad_sign(b1x * a2x + q * b1y * a2y - b2x * a1x - q * b2y * a1y,
                          b1x * a2y + b1y * a2x + p * b1y * a2y
                          - b2x * a1y - b2y * a1x - p * b2y * a1y, p, q)
+
+    def combine(self, p, q, f):
+        """q[f]*p - p[f]*q over the product of the row denominators, in
+        lowest terms; positive weights when p[f] < 0 < q[f]."""
+        (PX, PY, pd), (QX, QY, qd) = p, q
+        px, py, qx, qy = PX[f], PY[f], QX[f], QY[f]
+        # (u + v*rho)(a + b*rho) = (u*a + q*v*b) + ((u + p*v)*b + v*a)*rho
+        p_, q_ = self.p, self.q
+        qqy, qpy, gq, gp = q_ * qy, q_ * py, qx + p_ * qy, px + p_ * py
+        X = [qx * a + qqy * b - px * c - qpy * d
+             for a, b, c, d in zip(PX, PY, QX, QY)]
+        Y = [gq * b + qy * a - gp * d - py * c
+             for a, b, c, d in zip(PX, PY, QX, QY)]
+        return _lowest(X, Y, pd * qd)
 
     def pivot(self, r, c):
         """Divide row r by its entry in column c, then clear column c elsewhere.
@@ -439,53 +459,34 @@ def _chamber_rows(n, zero, one):
 def int_c(poset, antichain):
     """Int_C(A) = {v > 0 : (v|beta) = 1 for beta in A}, decided by elimination.
 
-    Row reduction of A's root rows, with the LPs' storage and pivot, solves
-    the equalities as v = v0 + N s over the null-space parameters s and
-    drops consistent dependent rows; an inconsistent one refutes them.  The
-    chamber rows v_i > 0 then become strict rows in s, and Fourier-Motzkin
-    elimination removes one parameter at a time.  A final constant <= 0
-    refutes Int_C; otherwise back-substitution through the open intervals
-    of each level gives an exact witness.  The elimination decides without
-    multipliers, and only a refutation runs it again with them, to read off
-    its Farkas certificate.
+    [B | 1], with one slack column per equality, is reduced by the storage's
+    ``pivot``; an inconsistent dependent row refutes the equalities.  Pivot
+    row c, read as rhs - sum(row[f] * v_f) > 0 over the free columns f, is
+    the chamber row v_c > 0, and each free column adds v_f > 0.
+    Fourier-Motzkin removes the free columns with the storage's ``combine``,
+    so a row's pivot and slack columns hold its chamber and equality
+    multipliers.  A final rhs <= 0 refutes Int_C, with the Farkas
+    certificate read off its row; otherwise back-substitution through the
+    open intervals of each level gives an exact witness.
     """
     if not antichain:
         raise EmptyAntichain("int_c needs a nonempty antichain")
-    return (_int_c(poset, antichain, certify=False)
-            or _int_c(poset, antichain, certify=True))
-
-
-def _int_c(poset, antichain, certify):
-    """``int_c``'s elimination; a refutation returns None unless ``certify``.
-
-    [B | 1] is a tableau with no basis, reduced by the storage's ``pivot``.
-    With ``certify`` each row also carries multipliers, which the row
-    operations update with the rest of the row: one slack column per
-    equality in the reduction, and the chamber multipliers as trailing
-    columns in Fourier-Motzkin.  Only the pivot rows' rhs and free columns
-    are read back as scalars, and the slack columns only on a refutation.
-    """
     rs = poset.system
     zero, one = rs.zero, rs.one
     n, k = rs.rank, len(antichain)
 
-    def unit(i, size):
-        return [one if j == i else zero for j in range(size)] if certify else []
-
     def refuted(lam, mu):
-        sys = LinearSystem(
-            n,
-            equalities=[(rs.positives[i].coeffs, one) for i in antichain],
-            strict_ge=_chamber_rows(n, zero, one),
-        )
+        sys = LinearSystem(n, equalities=[(rs.positives[i].coeffs, one)
+                                          for i in antichain],
+                           strict_ge=_chamber_rows(n, zero, one))
         cert = {"ge": lam, "le": [], "eq": mu}
         check_farkas(sys, cert, zero)
         return FeasibilityResult("Infeasible", farkas=cert)
 
-    tab, roots = _storage(poset, antichain, n, k if certify else 0, 0)
+    tab, roots = _storage(poset, antichain, n, k, 0)
     rhs, rows, val = tab.total, tab.rows, tab.value
     for i, root in enumerate(roots):
-        tab.append_root(root, {n + i: 1, rhs: 1} if certify else {rhs: 1})
+        tab.append_root(root, {n + i: 1, rhs: 1})
     # reduced row echelon form: each column pivots on the first row below
     # the pivots found so far that is nonzero there
     pivots = []
@@ -501,76 +502,72 @@ def _int_c(poset, antichain, certify):
         # the row reads 0 = rhs; a nonzero rhs refutes the equalities
         sg = tab.sign(row, rhs)
         if sg:
-            if not certify:
-                return None
             combo = [val(row, n + i) for i in range(k)]
             return refuted([zero] * n,
                            combo if sg > 0 else [zero - x for x in combo])
 
-    # chamber row i as [g, *h]: g + h.s > 0, with h[t] at index 1 + t; in
-    # the levels it continues with its chamber multipliers
+    # the chamber rows in column order: the pivot rows, and for each free
+    # column f the row with -1 at f and rhs 0, which reads v_f > 0
     free = [c for c in range(n) if c not in pivots]
-    chamber = [None] * n
-    for t, c in enumerate(free):
-        chamber[c] = [zero, *(one if u == t else zero for u in range(len(free)))]
-    for row, c in zip(rows, pivots):
-        chamber[c] = [val(row, rhs), *(zero - val(row, f) for f in free)]
-    level = [[*row, *unit(i, n)] for i, row in enumerate(chamber)]
-
+    chamber = dict(zip(pivots, rows))
+    for f in free:
+        tab.append_root(None, {f: -1})
+        chamber[f] = rows.pop()
+    level = [chamber[c] for c in range(n)]
     levels = []
-    for t in range(1, len(free) + 1):
+    for f in free:
         levels.append(level)
-        signs = [sgn(row[t]) for row in level]
+        signs = [tab.sign(row, f) for row in level]
         nxt = [row for row, sg in zip(level, signs) if sg == 0]
         for p, sp in zip(level, signs):
-            if sp <= 0:
+            if sp >= 0:
                 continue
             for q, sq in zip(level, signs):
-                if sq >= 0:
+                if sq <= 0:
                     continue
-                # positive weights a, b cancel the s_t coefficient
-                a, b = zero - q[t], p[t]
-                nxt.append([a * x + b * y for x, y in zip(p, q)])
+                nxt.append(tab.combine(p, q, f))
         level = nxt
 
     for row in level:
-        g = row[0]
+        g = val(row, rhs)
         if sgn(g) <= 0 and not near_tie(g):
-            if not certify:
-                return None
-            # sum(lam_i v_i) is the constant g on the equalities' solution
-            # set, so it equals sum(nu_k beta_k) with sum(nu_k) = g
-            lam = row[1 + len(free):]
-            mu = [zero] * k
-            for prow, c in zip(rows, pivots):
-                mu = [y - lam[c] * val(prow, n + i) for i, y in enumerate(mu)]
-            return refuted(lam, mu)
-    if any(near_tie(row[0]) for row in level):
+            # the row is sum(lam_c * chamber[c]): a pivot column holds lam_c,
+            # and a free column f, -1 in chamber[f] alone, is zero, so lam_f
+            # is the sum of lam_c * chamber[c][f] over the pivots c
+            lam = [val(row, c) for c in range(n)]
+            for f in free:
+                lam[f] = sum((lam[c] * val(chamber[c], f) for c in pivots),
+                             zero)
+            return refuted(lam, [zero - val(row, n + i) for i in range(k)])
+    if any(near_tie(val(row, rhs)) for row in level):
         return FeasibilityResult("Degenerate")
 
     # back-substitute: each level bounds its parameter by open intervals,
-    # and the chamber row s_t > 0 is always among the lower bounds.  While
-    # s_t is chosen, it and the parameters eliminated before it are zero.
+    # and the chamber row s_t > 0 is always among the lower bounds; the row
+    # reads at(row, t + 1) - h*s_t > 0, with the parameters from t + 1 on
     s = [zero] * len(free)
 
-    def at(row):
-        return sum((x * y for x, y in zip(row[1:], s)), row[0])
+    def at(row, t=0):
+        x = val(row, rhs)
+        for f, y in zip(free[t:], s[t:]):
+            x = x - val(row, f) * y
+        return x
 
     for t in reversed(range(len(free))):
         lo = hi = None
         for row in levels[t]:
-            h = row[1 + t]
+            h = val(row, free[t])
             sg = sgn(h)
             if sg == 0:
                 continue
-            bound = (zero - at(row)) / h
-            if sg > 0 and (lo is None or sgn(bound - lo) > 0):
+            bound = at(row, t + 1) / h
+            if sg < 0 and (lo is None or sgn(bound - lo) > 0):
                 lo = bound
-            elif sg < 0 and (hi is None or sgn(bound - hi) < 0):
+            elif sg > 0 and (hi is None or sgn(bound - hi) < 0):
                 hi = bound
         s[t] = lo + one if hi is None else (lo + hi) / 2
     return FeasibilityResult(
-        "Feasible", witness=tuple(at(row) for row in chamber))
+        "Feasible", witness=tuple(at(chamber[c]) for c in range(n)))
 
 
 def _icmax(poset, antichain):
@@ -644,7 +641,8 @@ def _region_lp(poset, antichain, icmax):
 def region_status(poset, antichain):
     """Decide emptiness of the dominant region of an antichain (maybe empty),
     and the boundedness of a nonempty one.  An empty region carries its order
-    certificate, or AssertionError names the antichain."""
+    certificate, from the antichain up to I^c_max, or AssertionError names
+    the antichain."""
     antichain = tuple(antichain)
     icmax = _icmax(poset, antichain)
     res = _region_lp(poset, antichain, icmax)
@@ -657,7 +655,10 @@ def region_status(poset, antichain):
     else:
         verdict.status = "Empty"
         cert = order_certificate(poset, antichain, icmax)
-        if cert is None or not check_order_certificate(poset, cert):
+        # the comparison refutes the region only from I_min up to I^c_max
+        if (cert is None or not check_order_certificate(poset, cert)
+                or not {i for i, _ in cert.lower}.issubset(antichain)
+                or not {i for i, _ in cert.upper}.issubset(icmax)):
             raise AssertionError(f"no order certificate of {antichain} checks")
         verdict.certificate = cert
     return verdict

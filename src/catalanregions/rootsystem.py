@@ -34,9 +34,8 @@ from .exactfield import (
     zero_like,
 )
 
-# largest dihedral m accepted: `classify I2:400` takes 1.3-1.6 s (2-CPU Xeon),
-# about 1.1 s of it in the Approx witness LPs its report reads, 0.02 s in
-# RootPoset
+# largest dihedral m accepted: `classify I2:400` takes 0.5 s (2-CPU Xeon),
+# 0.35 s of it in the Approx witness LPs its report reads
 MAX_DIHEDRAL_M = 400
 # largest digit count and decimal exponent of a ratio: its Fraction then has
 # at most 2001 digits, below Python's 4300-digit limit on printing an int

@@ -30,7 +30,6 @@ from catalanregions.feasibility import (
     LinearSystem,
     OrderCertificate,
     _chamber_rows,
-    _int_c,
     _IntRows,
     _ScalarRows,
     check_farkas,
@@ -627,21 +626,6 @@ def int_c_lp(poset, antichain):
         strict_ge=_chamber_rows(rs.rank, rs.zero, rs.one),
     )
     return solve_reference(sys, rs.zero, rs.one)
-
-
-def int_c_matches_certified_run(poset, antichain):
-    """True iff ``int_c``, which carries multipliers only to certify a
-    refutation, gives the status, witness and certificate of the elimination
-    that carries them throughout.  Approx values compare bit for bit."""
-
-    def exact(res):
-        def bits(xs):
-            return xs and [x.v if isinstance(x, Approx) else x for x in xs]
-        farkas = res.farkas and {k: bits(v) for k, v in res.farkas.items()}
-        return res.status, bits(res.witness), farkas
-
-    return (exact(int_c(poset, antichain))
-            == exact(_int_c(poset, antichain, certify=True)))
 
 
 def int_c_digest(poset, antichains, digest):

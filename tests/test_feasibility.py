@@ -41,7 +41,6 @@ from helpers import (
     bounded_lp,
     int_c_digest,
     int_c_lp,
-    int_c_matches_certified_run,
     lp_max_reference,
     lp_solve,
     order_certificate_generic,
@@ -429,19 +428,65 @@ INT_C_SHA256 = {
 
 @pytest.mark.parametrize("group", sorted(REGION_SPECS))
 def test_int_c_certifies_only_on_refutation(group):
-    # deciding without multipliers and replaying only a refutation with
-    # them changes no status, witness or certificate, and the values of
-    # both stay those pinned
+    # a result carries a Farkas certificate exactly when it refutes, only
+    # H4 has refutations, and every status, witness and certificate stays
+    # pinned
     refuted = 0
     digest = hashlib.sha256()
     for spec in REGION_SPECS[group]:
         p = RootPoset(build(spec))
         antichains = p.antichains()[1:]
         for a, res in zip(antichains, int_c_digest(p, antichains, digest)):
-            assert int_c_matches_certified_run(p, a), (spec, a)
+            assert (res.farkas is None) == (res.status != "Infeasible"), a
             refuted += res.status == "Infeasible"
     assert refuted == (16 if group == "H4" else 0)
     assert digest.hexdigest() == INT_C_SHA256[group]
+
+
+# sha256 of int_c's status and the bits (x.v._mpf_) of its witness on every
+# nonempty antichain of each REGION_SPECS group's Approx systems; groups
+# with no Approx system are left out
+INT_C_APPROX_SHA256 = {
+    "I2:100":
+        "72a520b7d4edf1b65d2cc3b2c52bfff4fb3c99e2d021eac74e58ae99c82ad204",
+    "I2:2-40":
+        "8f59383d471d15ac3cac0fdcf9368589a3e5938d9e3512983e8dfa831f31d8e2",
+    "approx":
+        "1e0bc5448f147e3577edbad11c5c443726d33d3fa8102c2dd7179ceb53dc71a7",
+    "sweep12":
+        "0653b02d7943d060c291edb030706a7e4790ccdbaf4901ea5bd917a55a56f7dd",
+}
+
+
+@pytest.mark.parametrize("group", sorted(INT_C_APPROX_SHA256))
+def test_int_c_approx_witness_bits_pinned(group):
+    # scalar_to_json rounds to 40 digits; this pin holds every bit
+    digest = hashlib.sha256()
+    for spec in REGION_SPECS[group]:
+        p = RootPoset(build(spec))
+        if p.rows is not None:
+            continue
+        for a in p.antichains()[1:]:
+            res = int_c(p, a)
+            witness = res.witness and [tuple(map(int, x.v._mpf_))
+                                       for x in res.witness]
+            digest.update(repr((res.status, witness)).encode())
+    assert digest.hexdigest() == INT_C_APPROX_SHA256[group]
+
+
+def test_int_c_builds_one_tableau_per_call(h4_poset, monkeypatch):
+    # one elimination decides and certifies: no call, refutation or not,
+    # writes a second tableau
+    built = []
+    storage = feasibility._storage
+    monkeypatch.setattr(feasibility, "_storage",
+                        lambda *args: built.append(args) or storage(*args))
+    statuses = Counter()
+    for a in h4_poset.antichains()[1:]:
+        built.clear()
+        statuses[int_c(h4_poset, a).status] += 1
+        assert len(built) == 1, a
+    assert statuses["Infeasible"] == 16
 
 
 @pytest.mark.parametrize("label", ["I2:7", "I2:12:r=sin(1)/sin(4)"])
@@ -473,7 +518,6 @@ def test_int_c_rank_deficient(label, size, sample):
         res = int_c(p, a)
         assert res.status == int_c_lp(p, a).status == "Infeasible", a
         _assert_int_c_sound(p, a, res)
-        assert int_c_matches_certified_run(p, a), a
         branches[all(is_zero(x) for x in res.farkas["ge"])] += 1
     assert branches[True]
     if label == "H3":
@@ -634,12 +678,18 @@ def test_region_status_raises_without_order_certificate(h4_report, h4_poset,
 def test_region_status_rechecks_order_certificate(h4_report, h4_poset,
                                                   monkeypatch):
     empty = next(v.antichain for v in h4_report.verdicts if v.status == "Empty")
-    # two distinct minimal roots: neither dominates the other
-    bogus = OrderCertificate(lower=[(0, ONE)], upper=[(1, ONE)])
-    monkeypatch.setattr(feasibility, "order_certificate",
-                        lambda *args: bogus)
-    with pytest.raises(AssertionError, match=re.escape(str(empty))):
-        region_status(h4_poset, empty)
+    one, top = h4_poset.system.one, h4_poset.size - 1
+    beta = next(i for i in range(top) if i not in empty)
+    # a true comparison beta < top, the highest root, whose beta lies
+    # outside the antichain: it passes the checker but refutes nothing
+    below = OrderCertificate(lower=[(beta, one)], upper=[(top, one)])
+    assert h4_poset.leq(beta, top) and check_order_certificate(h4_poset, below)
+    # and two distinct minimal roots: neither dominates the other
+    for bogus in (OrderCertificate(lower=[(0, one)], upper=[(1, one)]), below):
+        monkeypatch.setattr(feasibility, "order_certificate",
+                            lambda *args: bogus)
+        with pytest.raises(AssertionError, match=re.escape(str(empty))):
+            region_status(h4_poset, empty)
 
 
 def test_order_certificate_members_come_from_region(h4_report, h4_poset):

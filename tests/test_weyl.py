@@ -21,7 +21,6 @@ from catalanregions.rootsystem import CoxeterType, _path, build, parse_spec
 from helpers import (
     RootPosetReference,
     int_c_digest,
-    int_c_matches_certified_run,
     norm_matches_orbit,
     witness_sign_type_reference,
 )
@@ -127,13 +126,12 @@ WEYL_INT_C_SHA256 = {
 
 @pytest.mark.parametrize("name", sorted(WEYL_TYPES))
 def test_weyl_int_c_certifies_only_on_refutation(monkeypatch, name):
-    # every antichain is feasible here, so no run replays with multipliers;
+    # every antichain is feasible here, so no result carries a certificate;
     # the witnesses stay those pinned
     monkeypatch.setitem(rootsystem.COXETER_TYPES, name, WEYL_TYPES[name])
     poset = RootPoset(build(parse_spec(name)))
     antichains = poset.antichains()[1:]
     digest = hashlib.sha256()
     for a, res in zip(antichains, int_c_digest(poset, antichains, digest)):
-        assert res.status == "Feasible", a
-        assert int_c_matches_certified_run(poset, a), a
+        assert res.status == "Feasible" and res.farkas is None, a
     assert digest.hexdigest() == WEYL_INT_C_SHA256[name]

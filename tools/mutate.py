@@ -56,21 +56,21 @@ EQUIVALENT = {
         "the norm of a nonzero x + y*rho with y != 0 is never zero",
     ("feasibility.py", "combo if sg > 0 else [zero - x for x in combo])",
      "Gt -> GtE", "sg > 0"): "the line before has tested sg nonzero",
-    ("feasibility.py", "if sp <= 0:", "LtE -> Lt", "sp <= 0"):
+    ("feasibility.py", "if sp >= 0:", "GtE -> Gt", "sp >= 0"):
         "a row with a zero s_t coefficient pairs into a positive multiple of "
         "itself, after the row itself, so no bound or refutation changes",
-    ("feasibility.py", "if sq >= 0:", "GtE -> Gt", "sq >= 0"):
+    ("feasibility.py", "if sq <= 0:", "LtE -> Lt", "sq <= 0"):
         "a row with a zero s_t coefficient pairs into a positive multiple of "
         "itself, after the row itself, so no bound or refutation changes",
-    ("feasibility.py", "if sg > 0 and (lo is None or sgn(bound - lo) > 0):",
-     "Gt -> GtE", "sg > 0"): "a zero sign has continued above",
-    ("feasibility.py", "if sg > 0 and (lo is None or sgn(bound - lo) > 0):",
+    ("feasibility.py", "if sg < 0 and (lo is None or sgn(bound - lo) > 0):",
+     "Lt -> LtE", "sg < 0"): "a zero sign has continued above",
+    ("feasibility.py", "if sg < 0 and (lo is None or sgn(bound - lo) > 0):",
      "Gt -> GtE", "sgn(bound - lo) > 0"): "an equal bound leaves lo as it is",
     ("feasibility.py",
-     "elif sg < 0 and (hi is None or sgn(bound - hi) < 0):", "Lt -> LtE",
-     "sg < 0"): "a zero sign has continued above",
+     "elif sg > 0 and (hi is None or sgn(bound - hi) < 0):", "Gt -> GtE",
+     "sg > 0"): "a zero sign has continued above",
     ("feasibility.py",
-     "elif sg < 0 and (hi is None or sgn(bound - hi) < 0):", "Lt -> LtE",
+     "elif sg > 0 and (hi is None or sgn(bound - hi) < 0):", "Lt -> LtE",
      "sgn(bound - hi) < 0"): "an equal bound leaves hi as it is",
     ("feasibility.py",
      "if s > 0 or (s == 0 and basis[i] > basis[leave]):", "Gt -> GtE",

@@ -3,14 +3,14 @@
 Int_C(A), the chamber points at level one on an antichain, is decided by
 one elimination on the LPs' rows: row reduction of the equalities with
 their pivot, then Fourier-Motzkin over the at most rank - 1 free columns,
-which yields an exact witness or a refutation whose Farkas certificate is
-read off the refuting row.  Regions mix many
+which yields an exact witness or a refutation, read off the refuting row
+as a root-order comparison between two parts of A.  Regions mix many
 strict rows and go through the LP engine in the chamber coordinates v >= 0
 themselves, maximising a uniform slack t (capped at 1): the open polyhedron
 is nonempty iff the optimum t* is positive.  An empty dominant region is
-certified only by a second LP's root-order certificate, a convex comparison
-between the two antichains bounding the region; of the census's systems
-only H4 has empty regions.
+certified by a second LP's root-order certificate, the same kind of convex
+comparison, between the two antichains bounding the region; of the
+census's systems only H4 has empty regions or Int_C refutations.
 
 On an exact field the simplex tableau holds ints, not scalars: a row is
 integer numerators X, Y over one positive row denominator D, entry j being
@@ -365,7 +365,7 @@ def _storage(poset, roots, n, m, arts):
 
 
 # ---------------------------------------------------------------------------
-# strict systems and their Farkas certificates
+# strict systems and Farkas certificates, kept for the tests and perfbench
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -380,7 +380,7 @@ class LinearSystem:
 class FeasibilityResult:
     status: str                  # "Feasible" | "Infeasible" | "Degenerate"
     witness: tuple | None = None
-    farkas: dict | None = None   # {"ge": [...], "le": [...], "eq": [...]}
+    certificate: object = None   # the OrderCertificate of a refutation
 
 
 def check_farkas(sys, cert, zero):
@@ -464,10 +464,10 @@ def int_c(poset, antichain):
     row c, read as rhs - sum(row[f] * v_f) > 0 over the free columns f, is
     the chamber row v_c > 0, and each free column adds v_f > 0.
     Fourier-Motzkin removes the free columns with the storage's ``combine``,
-    so a row's pivot and slack columns hold its chamber and equality
-    multipliers.  A final rhs <= 0 refutes Int_C, with the Farkas
-    certificate read off its row; otherwise back-substitution through the
-    open intervals of each level gives an exact witness.
+    so a row's slack columns hold its equality multipliers mu.  A final rhs
+    <= 0 refutes Int_C: sum(mu_i*beta_i) <= 0 <= sum(mu_i), not both zero,
+    so P = {mu > 0} lies below N = {mu < 0} in the root order, each weighted
+    by mu over its sum.  Otherwise each level's open intervals give a witness.
     """
     if not antichain:
         raise EmptyAntichain("int_c needs a nonempty antichain")
@@ -475,13 +475,15 @@ def int_c(poset, antichain):
     zero, one = rs.zero, rs.one
     n, k = rs.rank, len(antichain)
 
-    def refuted(lam, mu):
-        sys = LinearSystem(n, equalities=[(rs.positives[i].coeffs, one)
-                                          for i in antichain],
-                           strict_ge=_chamber_rows(n, zero, one))
-        cert = {"ge": lam, "le": [], "eq": mu}
-        check_farkas(sys, cert, zero)
-        return FeasibilityResult("Infeasible", farkas=cert)
+    def refuted(row, s):
+        # mu is s times the row's slack columns, with sum(mu_i) = s*rhs >= 0
+        sides = [[(i, val(row, n + j)) for j, i in enumerate(antichain)
+                  if tab.sign(row, n + j) == t] for t in (s, -s)]
+        totals = [sum((x for _, x in side), zero) for side in sides]
+        cert = OrderCertificate(*([(i, x / t) for i, x in side]
+                                  for side, t in zip(sides, totals)))
+        return FeasibilityResult("Infeasible", certificate=certified(
+            poset, cert, antichain, antichain))
 
     tab, roots = _storage(poset, antichain, n, k, 0)
     rhs, rows, val = tab.total, tab.rows, tab.value
@@ -502,9 +504,7 @@ def int_c(poset, antichain):
         # the row reads 0 = rhs; a nonzero rhs refutes the equalities
         sg = tab.sign(row, rhs)
         if sg:
-            combo = [val(row, n + i) for i in range(k)]
-            return refuted([zero] * n,
-                           combo if sg > 0 else [zero - x for x in combo])
+            return refuted(row, sg)
 
     # the chamber rows in column order: the pivot rows, and for each free
     # column f the row with -1 at f and rhs 0, which reads v_f > 0
@@ -531,14 +531,7 @@ def int_c(poset, antichain):
     for row in level:
         g = val(row, rhs)
         if sgn(g) <= 0 and not near_tie(g):
-            # the row is sum(lam_c * chamber[c]): a pivot column holds lam_c,
-            # and a free column f, -1 in chamber[f] alone, is zero, so lam_f
-            # is the sum of lam_c * chamber[c][f] over the pivots c
-            lam = [val(row, c) for c in range(n)]
-            for f in free:
-                lam[f] = sum((lam[c] * val(chamber[c], f) for c in pivots),
-                             zero)
-            return refuted(lam, [zero - val(row, n + i) for i in range(k)])
+            return refuted(row, -1)
     if any(near_tie(val(row, rhs)) for row in level):
         return FeasibilityResult("Degenerate")
 
@@ -655,12 +648,7 @@ def region_status(poset, antichain):
     else:
         verdict.status = "Empty"
         cert = order_certificate(poset, antichain, icmax)
-        # the comparison refutes the region only from I_min up to I^c_max
-        if (cert is None or not check_order_certificate(poset, cert)
-                or not {i for i, _ in cert.lower}.issubset(antichain)
-                or not {i for i, _ in cert.upper}.issubset(icmax)):
-            raise AssertionError(f"no order certificate of {antichain} checks")
-        verdict.certificate = cert
+        verdict.certificate = certified(poset, cert, antichain, icmax)
     return verdict
 
 
@@ -738,6 +726,18 @@ def check_order_certificate(poset, cert):
     for i, w in cert.lower:
         diff = [d - w * c for d, c in zip(diff, rs.positives[i].coeffs)]
     return all(sgn(d) >= 0 for d in diff) and any(sgn(d) > 0 for d in diff)
+
+
+def certified(poset, cert, antichain, upper):
+    """``cert`` if it passes ``check_order_certificate`` from roots of the
+    antichain up to other roots of ``upper`` (I^c_max for a region, the
+    antichain for Int_C), or AssertionError naming the antichain."""
+    if cert is not None and check_order_certificate(poset, cert):
+        lower, up = ({i for i, _ in side} for side in (cert.lower, cert.upper))
+        if (lower.issubset(antichain) and up.issubset(upper)
+                and lower.isdisjoint(up)):
+            return cert
+    raise AssertionError(f"no order certificate of {antichain} checks")
 
 
 def bounded(poset, antichain):

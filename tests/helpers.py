@@ -550,7 +550,7 @@ def solve(sys, zero, one):
         lam_ge[k] += sum((y * a[i] for y, (a, _) in zip(duals, rows)), zero)
     cert = {"ge": lam_ge, "le": duals[ge:-1], "eq": []}
     check_farkas(sys, cert, zero)
-    return FeasibilityResult("Infeasible", farkas=cert)
+    return FeasibilityResult("Infeasible", certificate=cert)
 
 
 def solve_reference(sys, zero, one):
@@ -612,7 +612,7 @@ def solve_reference(sys, zero, one):
             mu[-1] = mu[-1] + y
     cert = {"ge": lam_ge, "le": lam_le, "eq": mu}
     check_farkas(sys, cert, zero)
-    return FeasibilityResult("Infeasible", farkas=cert)
+    return FeasibilityResult("Infeasible", certificate=cert)
 
 
 def int_c_lp(poset, antichain):
@@ -630,15 +630,17 @@ def int_c_lp(poset, antichain):
 
 def int_c_digest(poset, antichains, digest):
     """Feed the status, witness and certificate of ``int_c`` on each
-    antichain, as ``scalar_to_json`` writes them, into a hashlib digest;
-    returns the results."""
+    antichain, as ``scalar_to_json`` writes them (a certificate as its
+    [root, weight] pairs), into a hashlib digest; returns the results."""
     results = []
     for a in antichains:
         res = int_c(poset, a)
-        farkas = res.farkas and {k: [scalar_to_json(x) for x in v]
-                                 for k, v in sorted(res.farkas.items())}
+        cert = res.certificate and {
+            side: [[i, scalar_to_json(w)] for i, w in weights]
+            for side, weights in (("lower", res.certificate.lower),
+                                  ("upper", res.certificate.upper))}
         witness = res.witness and [scalar_to_json(x) for x in res.witness]
-        digest.update(json.dumps([res.status, witness, farkas],
+        digest.update(json.dumps([res.status, witness, cert],
                                  sort_keys=True).encode())
         results.append(res)
     return results

@@ -161,7 +161,8 @@ def test_lp_count_only_read_witnesses_solve(monkeypatch):
 def test_h4_census_builds_no_unread_certificate(monkeypatch):
     # the region and order-certificate LPs' tableaux come from the root
     # order's integer rows, so int_row runs only in RootPoset.__init__, and
-    # an empty region with an order certificate builds no Farkas certificate
+    # every negative verdict carries an order certificate, checked once and
+    # never as a Farkas certificate
     calls, depth = Counter(), Counter()
 
     def enters(key, real):
@@ -176,8 +177,8 @@ def test_h4_census_builds_no_unread_certificate(monkeypatch):
     def counts(key, real):
         def run(*args, **kwargs):
             calls[key] += 1
-            if key == "check_farkas" and depth["int_c"]:
-                calls["check_farkas in int_c"] += 1
+            if depth["int_c"]:
+                calls[f"{key} in int_c"] += 1
             if key == "int_row" and not depth["init"]:
                 calls["int_row elsewhere"] += 1
             return real(*args, **kwargs)
@@ -188,7 +189,7 @@ def test_h4_census_builds_no_unread_certificate(monkeypatch):
     monkeypatch.setattr(classifier, "int_c", int_c)
     monkeypatch.setattr(RootPoset, "__init__",
                         enters("init", RootPoset.__init__))
-    for name in ("lp_max", "check_farkas"):
+    for name in ("lp_max", "check_farkas", "check_order_certificate"):
         monkeypatch.setattr(feasibility, name,
                             counts(name, getattr(feasibility, name)))
     int_row = counts("int_row", exactfield.int_row)
@@ -196,8 +197,10 @@ def test_h4_census_builds_no_unread_certificate(monkeypatch):
         monkeypatch.setattr(module, "int_row", int_row)
     cli.report_to_json(classify_system(parse_spec("H4")))
     assert calls["lp_max"] == 445
-    # the 16 int_c refutations; the 16 empty regions carry order certificates
-    assert calls["check_farkas"] == calls["check_farkas in int_c"] == 16
+    assert calls["check_farkas"] == 0
+    # one check for each of the 16 int_c refutations and the 16 empty regions
+    assert calls["check_order_certificate in int_c"] == 16
+    assert calls["check_order_certificate"] == 32
     assert calls["int_row"] and calls["int_row elsewhere"] == 0
 
 

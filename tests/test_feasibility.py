@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import re
 from collections import Counter
@@ -13,6 +14,7 @@ from catalanregions.exactfield import (
     Q,
     TagMismatch,
     is_zero,
+    scalar_to_json,
     sgn,
     sqrt2,
     sqrt3,
@@ -24,6 +26,7 @@ from catalanregions.feasibility import (
     OrderCertificate,
     _chamber_rows,
     bounded,
+    certified,
     check_farkas,
     check_order_certificate,
     int_c,
@@ -39,6 +42,7 @@ from helpers import (
     DimensionMismatch,
     RootPosetReference,
     bounded_lp,
+    exact_rank,
     int_c_digest,
     int_c_lp,
     lp_max_reference,
@@ -271,7 +275,7 @@ def test_solve_infeasible_with_certificate():
     sys = LinearSystem(1, strict_ge=[((ONE,), ZERO)], strict_le=[((ONE,), ZERO)])
     res = solve(sys, ZERO, ONE)
     assert res.status == "Infeasible"
-    assert check_farkas(sys, res.farkas, ZERO)
+    assert check_farkas(sys, res.certificate, ZERO)
 
 
 def test_solve_inconsistent_equalities():
@@ -279,7 +283,7 @@ def test_solve_inconsistent_equalities():
     sys = LinearSystem(1, equalities=[((ONE,), ZERO), ((ONE,), ONE)])
     res = solve_reference(sys, ZERO, ONE)
     assert res.status == "Infeasible"
-    assert check_farkas(sys, res.farkas, ZERO)
+    assert check_farkas(sys, res.certificate, ZERO)
 
 
 def test_solve_weakly_feasible_only():
@@ -360,12 +364,13 @@ def test_int_c_simple_roots_h3(h3_poset):
         int_c(h3_poset, ())
 
 
-def _int_c_system(poset, antichain):
-    rs = poset.system
-    return LinearSystem(
-        rs.rank,
-        equalities=[(rs.positives[i].coeffs, rs.one) for i in antichain],
-        strict_ge=_chamber_rows(rs.rank, rs.zero, rs.one))
+def _assert_refutes(poset, antichain, cert):
+    """An Int_C refutation is a checked root-order comparison between two
+    disjoint parts of the antichain: at a point of Int_C both sides read 1."""
+    lower, upper = ({i for i, _ in side} for side in (cert.lower, cert.upper))
+    assert check_order_certificate(poset, cert), antichain
+    assert lower | upper <= set(antichain), antichain
+    assert not lower & upper, antichain
 
 
 def _assert_int_c_sound(poset, antichain, res):
@@ -376,8 +381,7 @@ def _assert_int_c_sound(poset, antichain, res):
         for i in antichain:
             assert is_zero(evaluate(res.witness, rs.positives[i]) - rs.one)
     elif res.status == "Infeasible":
-        assert check_farkas(_int_c_system(poset, antichain), res.farkas,
-                            rs.zero)
+        _assert_refutes(poset, antichain, res.certificate)
 
 
 def _int_c_posets(label):
@@ -406,13 +410,33 @@ def test_int_c_matches_lp_oracle(label):
         assert statuses["Infeasible"] == 16
 
 
+# sha256 of int_c's status and witness alone, through scalar_to_json, on
+# every nonempty antichain of each REGION_SPECS group: a change to the form
+# of the certificates leaves it as it is
+INT_C_VALUES_SHA256 = {
+    "H3":
+        "2ec93e2e0456bf12c3884825f68f60bc42a4923ac6b750ef08201fd633b46690",
+    "H4":
+        "34ed98a42b458487474205001bb8493d33684b5c949cd06b97aaa977fde76b66",
+    "I2:100":
+        "12c8c669ce1c1aea71566d13eca78634f26d3e150f1d183ef661a17adac12a93",
+    "I2:2-40":
+        "eb039457221ff39baf7265762a0a3461f9244cb6d73ecc3c8dca759288c804f0",
+    "approx":
+        "813ec7ec5cbfa00013d6ea42bac754d8402a9493a5251d9e9b4bfca9b815ccf5",
+    "sweep12":
+        "06688921bcfa47035ff8fdf3087ecc22520a1283e74194d4d229dcfde3c91532",
+    "sweep6":
+        "f4b478d5d2a4137a8992ae705de50dac0ba7aa086df3b9315004854bf375a0d6",
+}
+
 # sha256 of int_c's status, witness and certificate, through
 # scalar_to_json, on every nonempty antichain of each REGION_SPECS group
 INT_C_SHA256 = {
     "H3":
         "8c33caa6983e2a0fd604e7b03d4095aa557b53a650babf8f6b28c90c9cee263a",
     "H4":
-        "eb5e71663709b1ac66be87a0a688ada30a8a9971b90da7a4f2b610b45e6772a8",
+        "34ffb74dc41e6efc5e533fd4ec0a8e2a018d7e99ffb470d41bb42fcae322d603",
     "I2:100":
         "75b5257abf9ade878647d562c5238e56769ff93f158e412552f467808bbccaeb",
     "I2:2-40":
@@ -428,18 +452,23 @@ INT_C_SHA256 = {
 
 @pytest.mark.parametrize("group", sorted(REGION_SPECS))
 def test_int_c_certifies_only_on_refutation(group):
-    # a result carries a Farkas certificate exactly when it refutes, only
+    # a result carries an order certificate exactly when it refutes, only
     # H4 has refutations, and every status, witness and certificate stays
     # pinned
     refuted = 0
-    digest = hashlib.sha256()
+    digest, values = hashlib.sha256(), hashlib.sha256()
     for spec in REGION_SPECS[group]:
         p = RootPoset(build(spec))
         antichains = p.antichains()[1:]
         for a, res in zip(antichains, int_c_digest(p, antichains, digest)):
-            assert (res.farkas is None) == (res.status != "Infeasible"), a
-            refuted += res.status == "Infeasible"
+            assert (res.certificate is None) == (res.status != "Infeasible"), a
+            if res.certificate is not None:
+                _assert_refutes(p, a, res.certificate)
+                refuted += 1
+            witness = res.witness and [scalar_to_json(x) for x in res.witness]
+            values.update(json.dumps([res.status, witness]).encode())
     assert refuted == (16 if group == "H4" else 0)
+    assert values.hexdigest() == INT_C_VALUES_SHA256[group]
     assert digest.hexdigest() == INT_C_SHA256[group]
 
 
@@ -509,8 +538,10 @@ def test_int_c_near_ties_on_approx(label):
     ("H3", 4, 120), ("I2:6", 3, 20), ("I2:8:r=1.3", 3, 30)])
 def test_int_c_rank_deficient(label, size, sample):
     # rank + 1 roots are dependent: the LP refutes every such set, by the
-    # equalities alone or, for a consistent dependency, with chamber rows
+    # equalities alone when [B | 1] has the larger rank or, for a
+    # consistent dependency, with chamber rows
     p = RootPoset(build(parse_spec(label)))
+    rs = p.system
     subsets = random.Random(31).sample(
         list(combinations(range(p.size), size)), sample)
     branches = Counter()
@@ -518,7 +549,9 @@ def test_int_c_rank_deficient(label, size, sample):
         res = int_c(p, a)
         assert res.status == int_c_lp(p, a).status == "Infeasible", a
         _assert_int_c_sound(p, a, res)
-        branches[all(is_zero(x) for x in res.farkas["ge"])] += 1
+        b = [rs.positives[i].coeffs for i in a]
+        branches[exact_rank([(*r, rs.one) for r in b], rs.zero)
+                 > exact_rank(b, rs.zero)] += 1
     assert branches[True]
     if label == "H3":
         assert branches[False]
@@ -699,6 +732,50 @@ def test_order_certificate_members_come_from_region(h4_report, h4_poset):
         _, icmax = region_system(h4_poset, v.antichain)
         assert {i for i, _ in v.certificate.lower} <= set(v.antichain)
         assert {i for i, _ in v.certificate.upper} <= set(icmax)
+
+
+def test_h4_empty_regions_compare_int_c_failures(h4_report, h4_poset):
+    # the paper's criterion: the comparison that empties each region lies
+    # on an antichain where Int_C fails, and read as that antichain's Int_C
+    # refutation, lower below upper, it passes int_c's own check; the 16
+    # empties share only 2 antichains with the 16 failures, and their
+    # certificates cover 12 of the failures
+    bad = set(h4_report.bijection_bad_witnesses)
+    assert len(bad) == 16
+    supports = []
+    for v in h4_report.verdicts:
+        if v.status != "Empty":
+            continue
+        cert = v.certificate
+        support = tuple(sorted(i for i, _ in cert.lower + cert.upper))
+        assert support in bad, v.antichain
+        assert certified(h4_poset, cert, support, support) is cert
+        supports.append(support)
+    assert len(supports) == 16 and len(set(supports)) == 12
+    assert len(bad & {v.antichain for v in h4_report.verdicts
+                      if v.status == "Empty"}) == 2
+
+
+def test_certified_needs_a_comparison_between_parts(h4_poset):
+    # int_c's refutations compare disjoint parts of their antichain; the
+    # same weights reversed, over roots outside the given parts, or with a
+    # root on both sides raise, naming the antichain
+    p, zero = h4_poset, h4_poset.system.zero
+    refutations = [(a, res.certificate) for a in p.antichains()[1:]
+                   for res in [int_c(p, a)] if res.status == "Infeasible"]
+    assert len(refutations) == 16
+    for a, cert in refutations:
+        assert certified(p, cert, a, a) is cert
+        lower = tuple(i for i, _ in cert.lower)
+        upper = tuple(i for i, _ in cert.upper)
+        both = OrderCertificate(cert.lower + [(upper[0], zero)], cert.upper)
+        assert check_order_certificate(p, both)
+        for bogus, parts, up in ((OrderCertificate(cert.upper, cert.lower),
+                                  a, a),
+                                 (cert, upper, a), (cert, a, lower),
+                                 (both, a, a)):
+            with pytest.raises(AssertionError, match=re.escape(str(parts))):
+                certified(p, bogus, parts, up)
 
 
 def test_order_certificate_none_on_nonempty_regions(h3_poset):

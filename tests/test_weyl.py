@@ -133,5 +133,5 @@ def test_weyl_int_c_certifies_only_on_refutation(monkeypatch, name):
     antichains = poset.antichains()[1:]
     digest = hashlib.sha256()
     for a, res in zip(antichains, int_c_digest(poset, antichains, digest)):
-        assert res.status == "Feasible" and res.farkas is None, a
+        assert res.status == "Feasible" and res.certificate is None, a
     assert digest.hexdigest() == WEYL_INT_C_SHA256[name]

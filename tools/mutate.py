@@ -54,8 +54,6 @@ EQUIVALENT = {
         "a pivot entry is never zero",
     ("feasibility.py", "if d < 0:", "Lt -> LtE", "d < 0"):
         "the norm of a nonzero x + y*rho with y != 0 is never zero",
-    ("feasibility.py", "combo if sg > 0 else [zero - x for x in combo])",
-     "Gt -> GtE", "sg > 0"): "the line before has tested sg nonzero",
     ("feasibility.py", "if sp >= 0:", "GtE -> Gt", "sp >= 0"):
         "a row with a zero s_t coefficient pairs into a positive multiple of "
         "itself, after the row itself, so no bound or refutation changes",

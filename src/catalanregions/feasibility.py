@@ -420,8 +420,8 @@ def check_farkas(sys, cert, zero):
 
 @dataclass
 class OrderCertificate:
-    lower: list      # (root index, convex weight) over I_min
-    upper: list      # (root index, convex weight) over I^c_max
+    lower: list      # (root index, convex weight), roots of the antichain A
+    upper: list      # likewise, in I^c_max (region) or in A \ lower (Int_C)
 
 
 @dataclass

@@ -364,15 +364,6 @@ def test_int_c_simple_roots_h3(h3_poset):
         int_c(h3_poset, ())
 
 
-def _assert_refutes(poset, antichain, cert):
-    """An Int_C refutation is a checked root-order comparison between two
-    disjoint parts of the antichain: at a point of Int_C both sides read 1."""
-    lower, upper = ({i for i, _ in side} for side in (cert.lower, cert.upper))
-    assert check_order_certificate(poset, cert), antichain
-    assert lower | upper <= set(antichain), antichain
-    assert not lower & upper, antichain
-
-
 def _assert_int_c_sound(poset, antichain, res):
     """A witness lies in Int_C exactly; a certificate re-checks."""
     rs = poset.system
@@ -381,7 +372,8 @@ def _assert_int_c_sound(poset, antichain, res):
         for i in antichain:
             assert is_zero(evaluate(res.witness, rs.positives[i]) - rs.one)
     elif res.status == "Infeasible":
-        _assert_refutes(poset, antichain, res.certificate)
+        assert certified(poset, res.certificate, antichain,
+                         antichain) is res.certificate
 
 
 def _int_c_posets(label):
@@ -463,7 +455,7 @@ def test_int_c_certifies_only_on_refutation(group):
         for a, res in zip(antichains, int_c_digest(p, antichains, digest)):
             assert (res.certificate is None) == (res.status != "Infeasible"), a
             if res.certificate is not None:
-                _assert_refutes(p, a, res.certificate)
+                assert certified(p, res.certificate, a, a) is res.certificate
                 refuted += 1
             witness = res.witness and [scalar_to_json(x) for x in res.witness]
             values.update(json.dumps([res.status, witness]).encode())

@@ -1,6 +1,8 @@
 """Cross-checks too long for the tier-1 suite, one line per system.
 
-    python tools/oracles.py [zaslavsky] [dihedral]
+    python tools/oracles.py
+
+It runs, in turn,
 
 - zaslavsky: ``check_census`` of tests/test_zaslavsky.py, the flats of the
   arrangement against the census, on A6 and E6 and on every system of the
@@ -9,8 +11,8 @@
   order, Int_C on pairs, census counts) for every m from 2 to
   MAX_DIHEDRAL_M.
 
-With no argument both run.  The checks are imported from the test modules,
-not copied; the exit status is 1 when one fails.
+The checks are imported from the test modules, not copied; the exit
+status is 1 when one fails.
 """
 
 import sys
@@ -72,21 +74,13 @@ def dihedral():
     return ok
 
 
-CHECKS = {"zaslavsky": zaslavsky, "dihedral": dihedral}
-
-
-def main(argv):
-    chosen = argv or list(CHECKS)
-    unknown = set(chosen) - set(CHECKS)
-    if unknown:
-        sys.exit(f"unknown check {sorted(unknown)}; "
-                 f"choose from {list(CHECKS)}")
+def main():
     start = time.perf_counter()
-    ok = all([CHECKS[name]() for name in chosen])
+    ok = all([zaslavsky(), dihedral()])
     print(f"{'all passed' if ok else 'FAILED'} in "
           f"{time.perf_counter() - start:.1f} s")
     return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
